@@ -18,8 +18,22 @@ from .errors import ConfigError, DataError, EvaluationError
 from .evaluate import run_experiment
 from .features import FeatureMatrix
 from .io import write_report
-from .pipeline import extract_cohort, synth_cohort_to_dir
-from .synth import spec_from_dict
+
+
+# The synth and extract stages load scipy, which `evaluate` never needs, so
+# they are imported on first call. They stay attributes of this module because
+# instrumentation (the tracer in perfbench/) wraps each stage where the
+# commands look it up.
+def synth_cohort_to_dir(*args, **kwargs):
+    from .pipeline import synth_cohort_to_dir as stage
+
+    return stage(*args, **kwargs)
+
+
+def extract_cohort(*args, **kwargs):
+    from .pipeline import extract_cohort as stage
+
+    return stage(*args, **kwargs)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -69,6 +83,8 @@ def cmd_synth(args) -> int:
         raise ConfigError(f"cohort spec {spec_path} must be a JSON object")
     if args.seed is None and "seed" not in doc:
         raise ConfigError("a seed is required: set 'seed' in the spec or pass --seed")
+    from .synth import spec_from_dict
+
     spec = spec_from_dict(doc)
     if args.seed is not None:
         spec.seed = args.seed
@@ -138,7 +154,12 @@ def cmd_evaluate(args) -> int:
         screening_path = Path(args.screening)
         if not screening_path.is_file():
             raise DataError(f"screening log not found: {screening_path}")
-        screening = json.loads(screening_path.read_text())
+        try:
+            screening = json.loads(screening_path.read_text())
+        except ValueError as exc:
+            raise DataError(f"screening log {screening_path} is not valid JSON: {exc}") from None
+        if not isinstance(screening, dict):
+            raise DataError(f"screening log {screening_path} must be a JSON object")
 
     workers = _effective_workers(args.workers, config)
     report = run_experiment(

@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .errors import ConfigError, DataError, EvaluationError
 from .features import CATALOG, FeatureMatrix
@@ -77,6 +76,21 @@ def plan_splits(labels_by_patient: dict[str, int], train_fraction: float = 2 / 3
     return SplitPlan(seed=seed, train_fraction=train_fraction, iterations=iterations)
 
 
+def _average_ranks(values: np.ndarray) -> np.ndarray:
+    """1-based ranks with ties given the mean of the positions they span
+    (``scipy.stats.rankdata``'s default); all NaN if any value is NaN."""
+    values = np.asarray(values, dtype=np.float64)
+    if np.isnan(values).any():
+        return np.full(values.shape, np.nan)
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    starts = np.flatnonzero(np.concatenate([[True], ordered[1:] != ordered[:-1]]))
+    ends = np.append(starts[1:], len(values))
+    ranks = np.empty(len(values))
+    ranks[order] = np.repeat((starts + 1 + ends) / 2.0, ends - starts)
+    return ranks
+
+
 def auroc(scores, labels) -> float:
     """Probability a random positive outscores a random negative, ties half
     (rank formulation, invariant under strictly monotone score transforms)."""
@@ -86,7 +100,7 @@ def auroc(scores, labels) -> float:
     n0 = int(np.sum(labels == 0))
     if n1 == 0 or n0 == 0:
         raise EvaluationError("AUROC undefined: both classes must be present")
-    ranks = rankdata(scores)
+    ranks = _average_ranks(scores)
     return float((ranks[labels == 1].sum() - n1 * (n1 + 1) / 2.0) / (n1 * n0))
 
 

@@ -22,12 +22,15 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .fiducials import FiducialSet, smooth_derivatives
 from .io import Recording, binarize_label
+
+if TYPE_CHECKING:   # fiducials loads scipy, which reading a matrix does not need
+    from .fiducials import FiducialSet
 
 FAMILIES = ("MOR", "BRV", "META")
 WIDTH_FRACTIONS = (0.10, 0.25, 0.33, 0.50, 0.66, 0.75)
@@ -172,6 +175,8 @@ def mor_features_per_beat(beat: np.ndarray, fs: float, fid: FiducialSet,
     if fid.sp is None:
         return out
     if derivatives is None:
+        from .fiducials import smooth_derivatives
+
         derivatives = smooth_derivatives(y, fs)
     d2 = derivatives[1]
 
@@ -357,10 +362,15 @@ class FeatureMatrix:
             for lineno, row in enumerate(reader, start=2):
                 if len(row) != len(names) + 3:
                     raise DataError(f"feature matrix {path}: row {lineno} has {len(row)} fields")
+                try:
+                    widx, label = int(row[1]), int(row[2])
+                    values = [float(v) if v != "" else np.nan for v in row[3:]]
+                except ValueError as exc:
+                    raise DataError(f"feature matrix {path}: line {lineno}: {exc}") from None
                 pids.append(row[0])
-                widxs.append(int(row[1]))
-                labels.append(int(row[2]))
-                rows.append([float(v) if v != "" else np.nan for v in row[3:]])
+                widxs.append(widx)
+                labels.append(label)
+                rows.append(values)
         values = np.array(rows, dtype=np.float64) if rows else np.empty((0, len(names)))
         return cls(feature_names=names, families=[by_name[n] for n in names],
                    patient_ids=pids, window_indices=widxs,

@@ -72,9 +72,15 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 def logistic_loss_grad(coef: np.ndarray, intercept: float, X: np.ndarray, y: np.ndarray,
                        lam: float) -> tuple[float, np.ndarray, float]:
     """Mean negative log-likelihood + (lam/2)*||coef||^2 and its exact gradient."""
+    return _loss_grad_proba(coef, intercept, np.asarray(X, dtype=np.float64),
+                            np.asarray(y, dtype=np.float64), lam)[:3]
+
+
+def _loss_grad_proba(coef: np.ndarray, intercept: float, X: np.ndarray, y: np.ndarray,
+                     lam: float) -> tuple[float, np.ndarray, float, np.ndarray]:
+    """`logistic_loss_grad` plus the fitted probabilities, which the Newton
+    Hessian reuses; X and y must already be float64 arrays."""
     coef = np.asarray(coef, dtype=np.float64)
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
     n = X.shape[0]
     z = X @ coef + intercept
     loss = float(np.mean(np.logaddexp(0.0, z) - y * z) + 0.5 * lam * coef @ coef)
@@ -82,7 +88,7 @@ def logistic_loss_grad(coef: np.ndarray, intercept: float, X: np.ndarray, y: np.
     residual = p - y
     grad_coef = X.T @ residual / n + lam * coef
     grad_intercept = float(residual.mean())
-    return loss, grad_coef, grad_intercept
+    return loss, grad_coef, grad_intercept, p
 
 
 def fit_logistic(X: np.ndarray, y: np.ndarray, lam: float = DEFAULT_LAMBDA,
@@ -101,7 +107,7 @@ def fit_logistic(X: np.ndarray, y: np.ndarray, lam: float = DEFAULT_LAMBDA,
         raise EvaluationError("cannot fit on an empty training set")
     coef = np.zeros(d)
     intercept = 0.0
-    loss, grad_coef, grad_int = logistic_loss_grad(coef, intercept, X, y, lam)
+    loss, grad_coef, grad_int, p = _loss_grad_proba(coef, intercept, X, y, lam)
     converged = False
     iterations = 0
     for iterations in range(1, max_iter + 1):
@@ -112,8 +118,6 @@ def fit_logistic(X: np.ndarray, y: np.ndarray, lam: float = DEFAULT_LAMBDA,
             iterations -= 1
             break
 
-        z = X @ coef + intercept
-        p = _sigmoid(z)
         w = p * (1.0 - p) / n
         Xw = X * w[:, None]
         H = np.empty((d + 1, d + 1))
@@ -135,12 +139,13 @@ def fit_logistic(X: np.ndarray, y: np.ndarray, lam: float = DEFAULT_LAMBDA,
         for _ in range(60):
             new_coef = coef + step * direction[:d]
             new_intercept = intercept + step * direction[d]
-            new_loss, new_gc, new_gi = logistic_loss_grad(new_coef, new_intercept, X, y, lam)
+            new_loss, new_gc, new_gi, new_p = _loss_grad_proba(new_coef, new_intercept,
+                                                               X, y, lam)
             if new_loss <= loss + 1e-4 * step * slope:
                 break
             step *= 0.5
         coef, intercept = new_coef, new_intercept
-        loss, grad_coef, grad_int = new_loss, new_gc, new_gi
+        loss, grad_coef, grad_int, p = new_loss, new_gc, new_gi, new_p
 
     diagnostics = {
         "loss": loss,

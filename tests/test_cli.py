@@ -163,3 +163,34 @@ def test_evaluate_byte_reproducible(extracted_dir, tmp_path):
     for fname in ("report.json", "roc_ALL.csv", "selection_frequencies.csv",
                   "distributions.json"):
         assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes()
+
+
+@pytest.mark.parametrize("column, bad", [("window_index", "1.5"), ("label", "yes"),
+                                         ("T_pi", "abc")])
+def test_evaluate_malformed_matrix_cell_is_data_error(extracted_dir, tmp_path, capsys,
+                                                      column, bad):
+    lines = (extracted_dir / "features.csv").read_text().splitlines()
+    header = lines[0].split(",")
+    cells = lines[2].split(",")
+    cells[header.index(column)] = bad
+    lines[2] = ",".join(cells)
+    path = tmp_path / "bad.csv"
+    path.write_text("\n".join(lines) + "\n")
+    code = main(["evaluate", "--matrix", str(path), "--seed", "1",
+                 "--out", str(tmp_path / "x")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error[data]:") and str(path) in err and "line 3" in err
+    assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("content", ["{not json", "[1, 2]", "\udcff"])
+def test_evaluate_malformed_screening_is_data_error(extracted_dir, tmp_path, capsys, content):
+    screening = tmp_path / "screening.json"
+    screening.write_bytes(content.encode("utf-8", "surrogateescape"))
+    code = main(["evaluate", "--matrix", str(extracted_dir / "features.csv"), "--seed", "1",
+                 "--screening", str(screening), "--out", str(tmp_path / "x")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error[data]:") and str(screening) in err
+    assert not (tmp_path / "x").exists()

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ppgtriage.errors import DataError, EvaluationError
 from ppgtriage.evaluate import (auroc, choose_threshold, confusion_metrics, export_distributions,
@@ -305,3 +307,24 @@ def test_single_class_matrix_rejected():
     matrix = synthetic_feature_matrix(n_pos=0, n_neg=10, seed=24)
     with pytest.raises(EvaluationError):
         run_experiment(matrix, n_iter=2, seed=25)
+
+
+_tied_scores = st.lists(
+    st.one_of(st.sampled_from([0.0, -0.0, 0.25, 0.5, 1e-300, 1.0]),
+              st.floats(allow_nan=False, width=64)),
+    min_size=2, max_size=60)
+
+
+@settings(max_examples=300, deadline=None)
+@given(scores=_tied_scores, data=st.data())
+def test_auroc_matches_rankdata_formula_exactly(scores, data):
+    from scipy.stats import rankdata
+
+    labels = data.draw(st.lists(st.sampled_from([0, 1]), min_size=len(scores),
+                                max_size=len(scores)))
+    labels[0], labels[1] = 1, 0
+    labels = np.array(labels)
+    n1, n0 = int(labels.sum()), int((labels == 0).sum())
+    ranks = rankdata(np.array(scores))
+    expected = float((ranks[labels == 1].sum() - n1 * (n1 + 1) / 2.0) / (n1 * n0))
+    assert auroc(scores, labels) == expected
