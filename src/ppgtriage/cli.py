@@ -13,7 +13,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .config import RunConfig, load_config
+from .config import VALID_FAMILIES, VALID_METRIC_LEVELS, RunConfig, load_config
 from .errors import ConfigError, DataError, EvaluationError
 from .evaluate import run_experiment
 from .features import FeatureMatrix
@@ -59,8 +59,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--out", required=True, help="output directory")
     p_eval.add_argument("--seed", type=int, default=None, help="override the config seed")
     p_eval.add_argument("--families", default=None,
-                        help="comma-separated subset of MOR,BRV,META,ALL")
-    p_eval.add_argument("--metric-level", default=None, choices=["window", "patient", "both"])
+                        help=f"comma-separated subset of {','.join(VALID_FAMILIES)}")
+    p_eval.add_argument("--metric-level", default=None, choices=VALID_METRIC_LEVELS)
     p_eval.add_argument("--screening", default=None,
                         help="screening log JSON to embed in the report")
     p_eval.add_argument("--workers", type=int, default=None)
@@ -77,7 +77,7 @@ def cmd_synth(args) -> int:
         raise ConfigError(f"cohort spec file not found: {spec_path}")
     try:
         doc = json.loads(spec_path.read_text())
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:    # also a file that is not UTF-8
         raise ConfigError(f"cohort spec {spec_path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError(f"cohort spec {spec_path} must be a JSON object")

@@ -85,6 +85,10 @@ def config_from_dict(doc: dict) -> RunConfig:
             cfg = replace(cfg, **{attr: None})
         else:
             caster = _KEY_MAP[key]
+            if caster is not str and isinstance(value, bool):
+                raise ConfigError(f"config key '{key}': expected a number, got {value!r}")
+            if caster is int and isinstance(value, float) and not value.is_integer():
+                raise ConfigError(f"config key '{key}': expected an integer, got {value!r}")
             try:
                 cfg = replace(cfg, **{attr: caster(value)})
             except (TypeError, ValueError) as exc:
@@ -101,7 +105,7 @@ def load_config(path: Path | str | None) -> RunConfig:
         raise ConfigError(f"config file not found: {path}")
     try:
         doc = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:    # also a file that is not UTF-8
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError(f"config {path} must be a JSON object")

@@ -21,13 +21,12 @@ from functools import partial
 
 import numpy as np
 
+from .config import VALID_FAMILIES, VALID_METRIC_LEVELS
 from .errors import ConfigError, DataError, EvaluationError
 from .features import CATALOG, FeatureMatrix
 from .model import predict_proba, train_model
 from .utils import pmap
 
-DEFAULT_FAMILIES = ("MOR", "BRV", "META", "ALL")
-METRIC_LEVELS = ("window", "patient", "both")
 ROC_GRID_POINTS = 101
 DISTRIBUTION_BINS = 30
 TOP_FEATURES = 5
@@ -403,14 +402,15 @@ class EvalReport:
 
 def run_experiment(matrix: FeatureMatrix, *, n_iter: int = 100, train_fraction: float = 2 / 3,
                    lam: float = 1.0, rfe_k: int = 10, seed: int = 0,
-                   families: tuple[str, ...] = DEFAULT_FAMILIES,
+                   families: tuple[str, ...] = VALID_FAMILIES,
                    metric_level: str = "both", screening: dict | None = None,
                    workers: int | None = 1) -> EvalReport:
     """Run the full repeated-split protocol over the requested feature families."""
-    if metric_level not in METRIC_LEVELS:
-        raise ConfigError(f"metric_level must be one of {METRIC_LEVELS}, got '{metric_level}'")
+    if metric_level not in VALID_METRIC_LEVELS:
+        raise ConfigError(f"metric_level must be one of {VALID_METRIC_LEVELS}, "
+                          f"got '{metric_level}'")
     for family in families:
-        if family not in DEFAULT_FAMILIES:
+        if family not in VALID_FAMILIES:
             raise ConfigError(f"unknown family '{family}'")
     if matrix.n_rows == 0:
         raise EvaluationError("feature matrix has no rows")

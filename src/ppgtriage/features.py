@@ -26,17 +26,16 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .config import VALID_FAMILIES
 from .errors import ConfigError, DataError
 from .io import Recording, binarize_label
 
 if TYPE_CHECKING:   # fiducials loads scipy, which reading a matrix does not need
     from .fiducials import FiducialSet
 
-FAMILIES = ("MOR", "BRV", "META")
 WIDTH_FRACTIONS = (0.10, 0.25, 0.33, 0.50, 0.66, 0.75)
 PP50_THRESHOLD_S = 0.050
 PP20_THRESHOLD_S = 0.020
-CATALOG_VERSION = "1"
 
 
 @dataclass(frozen=True)
@@ -47,103 +46,18 @@ class FeatureDescriptor:
     definition: str
 
 
-def _build_catalog() -> list[FeatureDescriptor]:
-    mor: list[FeatureDescriptor] = []
-
-    def m(name: str, unit: str, definition: str) -> None:
-        mor.append(FeatureDescriptor(name, "MOR", unit, definition))
-
-    m("T_a", "s", "time from pulse onset to the a-point (first acceleration maximum)")
-    m("T_b", "s", "time from pulse onset to the b-point (acceleration minimum after a)")
-    m("T_c", "s", "time from pulse onset to the c-point (acceleration maximum after b)")
-    m("T_d", "s", "time from pulse onset to the d-point (acceleration minimum after c)")
-    m("T_e", "s", "time from pulse onset to the e-point (acceleration maximum after d)")
-    m("T_b-d", "s", "time between the b-point and the d-point")
-    m("T_c-e", "s", "time between the c-point and the e-point")
-    m("T_sp", "s", "time from pulse onset to the systolic peak")
-    m("T_dn", "s", "time from pulse onset to the dicrotic notch")
-    m("T_dp", "s", "time from pulse onset to the diastolic peak")
-    m("T_pi", "s", "pulse interval: onset to next onset")
-    m("T_dia", "s", "diastolic phase duration: dicrotic notch to next onset")
-    m("T_u", "s", "time from pulse onset to the maximum slope of the rising edge")
-    m("T_v", "s", "time from pulse onset to the steepest fall after the systolic peak")
-    m("T_w", "s", "time from pulse onset to the slope maximum following v")
-    for frac in WIDTH_FRACTIONS:
-        pct = round(frac * 100)
-        m(f"T_sw{pct}", "s",
-          f"systolic width: rising-edge crossing at {pct}% of pulse amplitude to systolic peak")
-    for frac in WIDTH_FRACTIONS:
-        pct = round(frac * 100)
-        m(f"T_dw{pct}", "s",
-          f"diastolic width: systolic peak to falling-edge crossing at {pct}% of pulse amplitude")
-    for frac in WIDTH_FRACTIONS:
-        pct = round(frac * 100)
-        m(f"T_dw{pct}/T_sw{pct}", "ratio",
-          f"diastolic over systolic width at {pct}% of pulse amplitude")
-    for frac in WIDTH_FRACTIONS:
-        pct = round(frac * 100)
-        m(f"T_pw{pct}/T_pi", "ratio",
-          f"pulse width at {pct}% of the systolic peak amplitude over the pulse interval")
-    m("A_p2/A_p1", "ratio",
-      "late over early systolic peak amplitude, both relative to the onset baseline")
-    m("AI", "ratio",
-      "augmentation index: (late minus early systolic peak value) over the pulse amplitude")
-    m("A_dn/A_sp", "ratio", "dicrotic notch amplitude over pulse amplitude, onset baseline")
-    m("A_dp/A_sp", "ratio", "diastolic peak amplitude over pulse amplitude, onset baseline")
-    m("b/a", "ratio", "acceleration b-wave over a-wave value")
-    m("c/a", "ratio", "acceleration c-wave over a-wave value")
-    m("d/a", "ratio", "acceleration d-wave over a-wave value")
-    m("e/a", "ratio", "acceleration e-wave over a-wave value")
-    m("AGI", "ratio", "aging index: (b - c - d - e) over a on the acceleration wave")
-    m("RS", "a.u./s", "rising slope: pulse amplitude over time to systolic peak")
-    m("A_pulse", "a.u.*s", "area under the onset-referenced pulse over the full beat")
-    m("A_sys", "a.u.*s", "area under the onset-referenced pulse from onset to dicrotic notch")
-    m("A_dia", "a.u.*s", "area under the onset-referenced pulse from dicrotic notch to beat end")
-    m("IPA", "ratio", "inflection point area ratio: diastolic over systolic phase area")
-
-    brv_defs = [
-        ("meanPP", "s", "mean of the onset-to-onset (PP) interval series"),
-        ("medianPP", "s", "median PP interval"),
-        ("SDPP", "s", "sample standard deviation of the PP intervals"),
-        ("RMSSD", "s", "root mean square of successive PP interval differences"),
-        ("pPP50", "fraction", "fraction of successive PP differences exceeding 50 ms"),
-        ("pPP20", "fraction", "fraction of successive PP differences exceeding 20 ms"),
-        ("CVPP", "ratio", "coefficient of variation: SDPP over meanPP"),
-        ("minPP", "s", "minimum PP interval"),
-        ("maxPP", "s", "maximum PP interval"),
-        ("rangePP", "s", "maximum minus minimum PP interval"),
-        ("iqrPP", "s", "interquartile range of the PP intervals"),
-        ("meanBR", "bpm", "mean beating rate: 60 over meanPP"),
-        ("SDBR", "bpm", "sample standard deviation of the per-interval rate 60/PP"),
-        ("SD1", "s", "Poincare short-axis spread: std of (PP[i+1]-PP[i])/sqrt(2)"),
-        ("SD2", "s", "Poincare long-axis spread: std of (PP[i+1]+PP[i])/sqrt(2)"),
-        ("SD1/SD2", "ratio", "Poincare axis ratio"),
-        ("MADPP", "s", "mean absolute successive PP difference"),
-    ]
-    brv = [FeatureDescriptor(name, "BRV", unit, d) for name, unit, d in brv_defs]
-
-    meta = [
-        FeatureDescriptor("Age", "META", "year", "patient age"),
-        FeatureDescriptor("Sex", "META", "binary", "patient sex encoded male=1, female=0"),
-    ]
-    return mor + brv + meta
+def _read_catalog() -> list[FeatureDescriptor]:
+    """The shipped catalog file (name, family, unit, definition), in file order."""
+    with open(Path(__file__).parent / "data" / "feature_catalog.csv", newline="") as fh:
+        return [FeatureDescriptor(**row) for row in csv.DictReader(fh)]
 
 
-CATALOG: list[FeatureDescriptor] = _build_catalog()
+CATALOG: list[FeatureDescriptor] = _read_catalog()
 FEATURE_NAMES: list[str] = [f.name for f in CATALOG]
 FEATURE_FAMILIES: list[str] = [f.family for f in CATALOG]
 MOR_NAMES = [f.name for f in CATALOG if f.family == "MOR"]
 BRV_NAMES = [f.name for f in CATALOG if f.family == "BRV"]
 META_NAMES = [f.name for f in CATALOG if f.family == "META"]
-
-
-def export_catalog(path: Path | str) -> None:
-    """Write the feature catalog reference file (name, family, unit, definition)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["name", "family", "unit", "definition"])
-        for desc in CATALOG:
-            writer.writerow([desc.name, desc.family, desc.unit, desc.definition])
 
 
 def _cross_before(y: np.ndarray, sp: int, level: float) -> float:
@@ -327,7 +241,7 @@ class FeatureMatrix:
     def family_columns(self, family: str) -> np.ndarray:
         if family == "ALL":
             return np.arange(len(self.feature_names))
-        if family not in FAMILIES:
+        if family not in VALID_FAMILIES:
             raise ConfigError(f"unknown feature family '{family}'")
         return np.flatnonzero(np.array(self.families) == family)
 
@@ -378,27 +292,25 @@ class FeatureMatrix:
 
 
 def assemble_matrix(window_rows: list[tuple[str, int, dict[str, float]]],
-                    recordings: list[Recording]) -> FeatureMatrix:
+                    labels: dict[str, str]) -> FeatureMatrix:
     """Assemble the labeled matrix in catalog column order.
 
-    window_rows carry (patient_id, window_index, MOR+BRV values); META values
-    and the binary label come from the recording. Rows are sorted by
-    (patient_id, window_index) so assembly is deterministic.
+    window_rows carry (patient_id, window_index, feature values); `labels` maps
+    each patient id to its class label, which is binarized. Rows are sorted by
+    (patient_id, window_index) so assembly is deterministic; a feature absent
+    from a row is missing.
     """
-    by_pid = {rec.patient_id: rec for rec in recordings}
     ordered = sorted(window_rows, key=lambda r: (r[0], r[1]))
-    pids, widxs, labels, rows = [], [], [], []
+    pids, widxs, binary, rows = [], [], [], []
     for pid, widx, values in ordered:
-        rec = by_pid.get(pid)
-        if rec is None:
+        label = labels.get(pid)
+        if label is None:
             raise DataError(f"window references unknown patient '{pid}'")
-        meta = meta_features(rec)
-        full = {**values, **meta}
         pids.append(pid)
         widxs.append(widx)
-        labels.append(binarize_label(rec.label))
-        rows.append([full.get(name, np.nan) for name in FEATURE_NAMES])
+        binary.append(binarize_label(label))
+        rows.append([values.get(name, np.nan) for name in FEATURE_NAMES])
     values_arr = np.array(rows, dtype=np.float64) if rows else np.empty((0, len(FEATURE_NAMES)))
     return FeatureMatrix(feature_names=list(FEATURE_NAMES), families=list(FEATURE_FAMILIES),
                          patient_ids=pids, window_indices=widxs,
-                         labels=np.array(labels, dtype=np.int64), values=values_arr)
+                         labels=np.array(binary, dtype=np.int64), values=values_arr)

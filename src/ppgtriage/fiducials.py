@@ -23,7 +23,6 @@ fabricated.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from pathlib import Path
 
 import numpy as np
 from scipy.ndimage import uniform_filter1d
@@ -248,17 +247,3 @@ def locate_fiducials(beat: np.ndarray, fs: float,
         if p1 is not None and (fid.p2 is None or p1 <= fid.p2):
             fid.p1 = p1
     return fid
-
-
-def write_fiducial_table(path: Path | str, spans: list[BeatSpan],
-                         fiducial_sets: list[FiducialSet]) -> None:
-    """Dump per-beat landmark indices (window-absolute) as TSV for inspection."""
-    names = [f.name for f in fields(FiducialSet)]
-    lines = ["\t".join(["beat", "onset", "next_onset"] + names)]
-    for k, (span, fid) in enumerate(zip(spans, fiducial_sets)):
-        row = [str(k), str(span.onset), str(span.next_onset)]
-        for name in names:
-            rel = getattr(fid, name)
-            row.append("" if rel is None else str(span.onset + rel))
-        lines.append("\t".join(row))
-    Path(path).write_text("\n".join(lines) + "\n")

@@ -189,13 +189,6 @@ def write_cohort(recordings: list[Recording], out_dir: Path | str,
     return manifest_path
 
 
-def class_counts(recordings: list[Recording]) -> dict[str, int]:
-    counts = {"C1": 0, "C0": 0}
-    for rec in recordings:
-        counts["C1" if binarize_label(rec.label) == POSITIVE else "C0"] += 1
-    return counts
-
-
 def write_report(report, path: Path | str) -> None:
     """Serialize an evaluation report to JSON (numbers round-trip exactly)."""
     text = json.dumps(report.to_dict(), indent=2, sort_keys=True, allow_nan=False)

@@ -10,9 +10,7 @@ at a time; ties keep the earlier catalog entry.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -166,56 +164,6 @@ class LogisticModel:
     lam: float
     standardizer: Standardizer
     diagnostics: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "catalog_version": _catalog_version(),
-            "selected_features": list(self.feature_names),
-            "coefficients": [float(v) for v in self.coef],
-            "intercept": float(self.intercept),
-            "lambda": float(self.lam),
-            "standardizer": {
-                "feature_names": list(self.standardizer.feature_names),
-                "mean": [float(v) for v in self.standardizer.mean],
-                "sd": [float(v) for v in self.standardizer.sd],
-                "kept": [bool(v) for v in self.standardizer.kept_mask],
-            },
-            "diagnostics": self.diagnostics,
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "LogisticModel":
-        std = doc["standardizer"]
-        return cls(
-            feature_names=list(doc["selected_features"]),
-            coef=np.array(doc["coefficients"], dtype=np.float64),
-            intercept=float(doc["intercept"]),
-            lam=float(doc["lambda"]),
-            standardizer=Standardizer(
-                feature_names=list(std["feature_names"]),
-                mean=np.array(std["mean"], dtype=np.float64),
-                sd=np.array(std["sd"], dtype=np.float64),
-                kept_mask=np.array(std["kept"], dtype=bool),
-            ),
-            diagnostics=dict(doc.get("diagnostics", {})),
-        )
-
-
-def _catalog_version() -> str:
-    from .features import CATALOG_VERSION
-
-    return CATALOG_VERSION
-
-
-def save_model(model: LogisticModel, path: Path | str) -> None:
-    Path(path).write_text(json.dumps(model.to_dict(), indent=2, sort_keys=True) + "\n")
-
-
-def load_model(path: Path | str) -> LogisticModel:
-    path = Path(path)
-    if not path.is_file():
-        raise DataError(f"model file not found: {path}")
-    return LogisticModel.from_dict(json.loads(path.read_text()))
 
 
 def rfe(X: np.ndarray, y: np.ndarray, feature_names: list[str],

@@ -17,7 +17,7 @@ import numpy as np
 from .config import RunConfig
 from .errors import SignalTooShortError
 from .features import (MOR_NAMES, FeatureMatrix, aggregate_window_mor, assemble_matrix,
-                       brv_features, mor_features_per_beat)
+                       brv_features, meta_features, mor_features_per_beat)
 from .fiducials import detect_beats, locate_fiducials, smooth_derivatives
 from .io import Recording, load_manifest, load_recording, write_samples
 from .preprocess import compute_sqi, design_bandpass, filter_recording, segment_windows
@@ -30,19 +30,19 @@ WindowRow = tuple[str, int, dict]
 def process_recording(recording: Recording, config: RunConfig
                       ) -> tuple[list[WindowRow], dict]:
     """Filter one recording, screen its windows, and extract features for the
-    kept ones. Returns (feature rows, screening entry)."""
+    kept ones. Returns (feature rows, screening entry); each row carries the
+    window's MOR, BRV and META values."""
     design = design_bandpass(recording.fs, config.band_low_hz, config.band_high_hz,
                              config.filter_order)
     filtered = filter_recording(recording, design)
     windows = segment_windows(filtered, config.window_s)
+    meta = meta_features(recording)
     rows: list[WindowRow] = []
     screened = []
     for window in windows:
         spans = detect_beats(window.samples, window.fs)
         sqi = compute_sqi(window, spans, sqi_threshold=config.sqi_threshold,
                           am_threshold=config.am_threshold, min_beats=config.min_beats)
-        window.sqi = sqi
-        window.kept = sqi.kept
         screened.append({
             "window_index": window.window_index,
             "verdict": sqi.verdict,
@@ -67,11 +67,12 @@ def process_recording(recording: Recording, config: RunConfig
             per_beat.append(mor_features_per_beat(beat, window.fs, fid, derivatives))
         values = aggregate_window_mor(per_beat) if per_beat else {n: np.nan for n in MOR_NAMES}
         values.update(brv_features(intervals))
+        values.update(meta)
         rows.append((window.patient_id, window.window_index, values))
     screening = {
         "patient_id": recording.patient_id,
         "n_windows": len(windows),
-        "kept": int(sum(w.kept for w in windows)),
+        "kept": len(rows),
         "windows": screened,
     }
     return rows, screening
@@ -94,41 +95,42 @@ def _screening_log(entries: list[dict]) -> dict:
     }
 
 
-def _process_in_memory(recording: Recording, config: RunConfig):
-    rows, screening = process_recording(recording, config)
-    return rows, screening
+def _load_and_process(item, load, config: RunConfig):
+    return process_recording(load(item), config)
+
+
+def _extract(items: list, load, labels: dict[str, str], config: RunConfig | None,
+             workers: int | None) -> tuple[FeatureMatrix, dict]:
+    """Process `load(item)` for every item, then assemble the matrix and the
+    screening log; `labels` maps each patient id to its class label."""
+    worker = partial(_load_and_process, load=load, config=config or RunConfig())
+    results = pmap(worker, items, workers=workers)
+    rows = [row for result in results for row in result[0]]
+    screening = _screening_log([result[1] for result in results])
+    return assemble_matrix(rows, labels), screening
+
+
+def _validated(recording: Recording) -> Recording:
+    recording.validate()
+    return recording
 
 
 def extract_matrix(recordings: list[Recording], config: RunConfig | None = None,
                    workers: int | None = 1) -> tuple[FeatureMatrix, dict]:
-    """Extract the labeled feature matrix from in-memory recordings."""
-    config = config or RunConfig()
-    results = pmap(partial(_process_in_memory, config=config), recordings, workers=workers)
-    rows = [row for result in results for row in result[0]]
-    screening = _screening_log([result[1] for result in results])
-    return assemble_matrix(rows, recordings), screening
-
-
-def _process_entry(entry: dict, base_dir: str, config: RunConfig):
-    recording = load_recording(entry, base_dir)
-    rows, screening = process_recording(recording, config)
-    meta = Recording(patient_id=recording.patient_id, fs=recording.fs,
-                     samples=np.zeros(1), label=recording.label,
-                     age=recording.age, sex=recording.sex)
-    return rows, screening, meta
+    """Extract the labeled feature matrix from in-memory recordings; each one
+    is validated first, so a non-finite sample raises DataError."""
+    labels = {rec.patient_id: rec.label for rec in recordings}
+    return _extract(recordings, _validated, labels, config, workers)
 
 
 def extract_cohort(manifest_path: Path | str, config: RunConfig | None = None,
                    workers: int | None = 1) -> tuple[FeatureMatrix, dict]:
     """Extract features for a cohort on disk; workers load their own recordings."""
-    config = config or RunConfig()
     manifest_path = Path(manifest_path)
     entries = load_manifest(manifest_path)
-    worker = partial(_process_entry, base_dir=str(manifest_path.parent), config=config)
-    results = pmap(worker, entries, workers=workers)
-    rows = [row for result in results for row in result[0]]
-    screening = _screening_log([result[1] for result in results])
-    return assemble_matrix(rows, [result[2] for result in results]), screening
+    labels = {entry["patient_id"]: entry["label"] for entry in entries}
+    load = partial(load_recording, base_dir=str(manifest_path.parent))
+    return _extract(entries, load, labels, config, workers)
 
 
 def _synth_and_write(task: tuple, out_dir: str):

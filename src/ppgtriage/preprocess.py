@@ -74,8 +74,6 @@ class Window:
     window_index: int
     fs: float
     samples: np.ndarray
-    sqi: SqiResult | None = None
-    kept: bool = False
 
 
 def design_bandpass(fs: float, low: float = DEFAULT_BAND[0], high: float = DEFAULT_BAND[1],
@@ -117,13 +115,6 @@ def _settle_length(sos: np.ndarray, fs: float) -> int:
             raise ConfigError("filter step response does not settle; design unusable")
 
 
-def one_pass_response_db(design: FilterDesign, freqs_hz) -> np.ndarray:
-    """Single-pass magnitude response in dB at the given frequencies."""
-    w = 2.0 * np.pi * np.asarray(freqs_hz, dtype=np.float64) / design.fs
-    _, h = sps.sosfreqz(design.sos, worN=w)
-    return 20.0 * np.log10(np.abs(h))
-
-
 def zero_phase_filter(samples: np.ndarray, design: FilterDesign) -> np.ndarray:
     """Forward-backward filtering with reflect padding; zero net phase shift."""
     samples = np.asarray(samples, dtype=np.float64)
@@ -148,6 +139,9 @@ def segment_windows(recording: Recording, window_s: float = DEFAULT_WINDOW_S) ->
     """Split a recording into contiguous non-overlapping windows of
     round(window_s * fs) samples; a trailing partial segment is discarded."""
     n = round(window_s * recording.fs)
+    if n < 1:
+        raise ConfigError(f"window_s={window_s} at fs={recording.fs} gives windows "
+                          f"of {n} samples; need at least 1")
     count = len(recording.samples) // n
     return [
         Window(patient_id=recording.patient_id, window_index=i, fs=recording.fs,
@@ -205,25 +199,3 @@ def compute_sqi(window: Window, spans: list[BeatSpan] | None = None,
         verdict = KEPT
     return SqiResult(score=score, amplitude_modulation_ratio=am_ratio,
                      n_beats=len(spans), verdict=verdict)
-
-
-def screen_windows(windows: list[Window],
-                   sqi_threshold: float = DEFAULT_SQI_THRESHOLD,
-                   am_threshold: float = DEFAULT_AM_THRESHOLD,
-                   min_beats: int = DEFAULT_MIN_BEATS) -> tuple[list[Window], list[Window]]:
-    """Attach an SqiResult to every window and partition into (kept, excluded)."""
-    kept, excluded = [], []
-    for window in windows:
-        window.sqi = compute_sqi(window, sqi_threshold=sqi_threshold,
-                                 am_threshold=am_threshold, min_beats=min_beats)
-        window.kept = window.sqi.kept
-        (kept if window.kept else excluded).append(window)
-    return kept, excluded
-
-
-def exclusion_counts(excluded: list[Window]) -> dict[str, int]:
-    counts: dict[str, int] = {}
-    for window in excluded:
-        reason = window.sqi.verdict if window.sqi else "unscored"
-        counts[reason] = counts.get(reason, 0) + 1
-    return counts

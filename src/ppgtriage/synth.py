@@ -13,10 +13,8 @@ so parallel generation is deterministic regardless of schedule.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field, asdict
-from pathlib import Path
 
 import numpy as np
 from scipy.signal import lfilter
@@ -264,16 +262,3 @@ def spec_from_dict(doc: dict) -> CohortSpec:
         spec.negative = _class_params_from_dict(doc["negative"], "negative")
     spec.validate()
     return spec
-
-
-def spec_from_json(path: Path | str) -> CohortSpec:
-    path = Path(path)
-    if not path.is_file():
-        raise ConfigError(f"cohort spec file not found: {path}")
-    try:
-        doc = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"cohort spec {path} is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ConfigError(f"cohort spec {path} must be a JSON object")
-    return spec_from_dict(doc)

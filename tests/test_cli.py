@@ -194,3 +194,36 @@ def test_evaluate_malformed_screening_is_data_error(extracted_dir, tmp_path, cap
     err = capsys.readouterr().err
     assert err.startswith("error[data]:") and str(screening) in err
     assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("content", [None, "{not json", "[1, 2]", "\udcff"])
+def test_synth_unreadable_spec_is_config_error(tmp_path, capsys, content):
+    spec = tmp_path / "spec.json"
+    if content is not None:
+        spec.write_bytes(content.encode("utf-8", "surrogateescape"))
+    assert main(["synth", "--spec", str(spec), "--out", str(tmp_path / "d")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error[config]:") and str(spec) in err
+    assert not (tmp_path / "d").exists()
+
+
+def test_extract_zero_length_window_is_config_error(cohort_dir, tmp_path, capsys):
+    cfg = _write(tmp_path / "cfg.json", {"window_s": 0.0001})
+    code = main(["extract", "--manifest", str(cohort_dir / "manifest.json"),
+                 "--config", cfg, "--out", str(tmp_path / "x"), "--workers", "2"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error[config]:") and "window_s" in err
+
+
+@pytest.mark.parametrize("doc", [{"seed": 1, "n_iter": 2.7}, {"seed": True}, "\udcff"])
+def test_evaluate_malformed_config_is_config_error(extracted_dir, tmp_path, capsys, doc):
+    cfg = tmp_path / "cfg.json"
+    if isinstance(doc, str):
+        cfg.write_bytes(doc.encode("utf-8", "surrogateescape"))
+    else:
+        _write(cfg, doc)
+    code = main(["evaluate", "--matrix", str(extracted_dir / "features.csv"),
+                 "--config", str(cfg), "--out", str(tmp_path / "x")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error[config]:")

@@ -4,8 +4,7 @@ import pytest
 from ppgtriage.errors import DataError
 from ppgtriage.features import (BRV_NAMES, CATALOG, FEATURE_NAMES, META_NAMES, MOR_NAMES,
                                 FeatureMatrix, aggregate_window_mor, assemble_matrix,
-                                brv_features, export_catalog, meta_features,
-                                mor_features_per_beat)
+                                brv_features, meta_features, mor_features_per_beat)
 from ppgtriage.fiducials import locate_fiducials, smooth_derivatives
 from ppgtriage.io import Recording
 from ppgtriage.synth import BeatModel
@@ -33,14 +32,17 @@ def test_catalog_invariants():
         assert desc.definition
 
 
-def test_shipped_catalog_file_in_sync(tmp_path):
-    from pathlib import Path
-    import ppgtriage
-
-    shipped = Path(ppgtriage.__file__).parent / "data" / "feature_catalog.csv"
-    regenerated = tmp_path / "catalog.csv"
-    export_catalog(regenerated)
-    assert shipped.read_text() == regenerated.read_text()
+def test_extractors_return_exactly_the_catalog_names():
+    # the catalog is read from the shipped CSV; the extractors name features in code
+    beat = make_beat(BeatModel())
+    derivs = smooth_derivatives(beat, FS)
+    fid = locate_fiducials(beat, FS, derivs)
+    assert fid.sp is not None
+    assert list(mor_features_per_beat(beat, FS, fid, derivs)) == MOR_NAMES
+    assert list(brv_features([0.8, 0.9, 1.0, 0.85])) == BRV_NAMES
+    rec = Recording("P", 100.0, np.ones(3), "LVO", age=71.0, sex="male")
+    assert list(meta_features(rec)) == META_NAMES
+    assert MOR_NAMES + BRV_NAMES + META_NAMES == FEATURE_NAMES
 
 
 def test_onset_landmark_times_match_oracle():
@@ -182,20 +184,20 @@ def test_meta_encoding():
     assert np.isnan(values["Age"]) and np.isnan(values["Sex"])
 
 
-def _rows_and_recordings(n_patients=3, windows=2):
-    recs = [Recording(f"P{i}", 100.0, np.ones(5), "LVO" if i == 0 else "NL",
-                      age=60.0 + i, sex="male") for i in range(n_patients)]
+def _rows_and_labels(n_patients=3, windows=2):
+    labels = {f"P{i}": "LVO" if i == 0 else "NL" for i in range(n_patients)}
     rows = []
     for i in range(n_patients):
         for w in range(windows):
             values = {name: float(i + w) for name in MOR_NAMES + BRV_NAMES}
+            values.update({"Age": 60.0 + i, "Sex": 1.0})
             rows.append((f"P{i}", w, values))
-    return rows, recs
+    return rows, labels
 
 
 def test_matrix_shape_and_family_selection():
-    rows, recs = _rows_and_recordings()
-    matrix = assemble_matrix(rows, recs)
+    rows, labels = _rows_and_labels()
+    matrix = assemble_matrix(rows, labels)
     assert matrix.values.shape == (6, len(FEATURE_NAMES))
     assert len(matrix.family_columns("META")) == 2
     assert len(matrix.family_columns("MOR")) == len(MOR_NAMES)
@@ -208,17 +210,17 @@ def test_matrix_shape_and_family_selection():
 
 
 def test_matrix_rows_sorted_and_labels_consistent():
-    rows, recs = _rows_and_recordings()
-    matrix = assemble_matrix(list(reversed(rows)), recs)
+    rows, labels = _rows_and_labels()
+    matrix = assemble_matrix(list(reversed(rows)), labels)
     order = list(zip(matrix.patient_ids, matrix.window_indices))
     assert order == sorted(order)
 
 
 def test_matrix_unknown_patient_rejected():
-    rows, recs = _rows_and_recordings()
+    rows, labels = _rows_and_labels()
     rows.append(("GHOST", 0, {}))
     with pytest.raises(DataError, match="GHOST"):
-        assemble_matrix(rows, recs)
+        assemble_matrix(rows, labels)
 
 
 def test_matrix_csv_round_trip(tmp_path, small_matrix):

@@ -3,7 +3,7 @@ import pytest
 
 from ppgtriage.errors import SignalTooShortError
 from ppgtriage.fiducials import (EXTREMUM_FLOOR, MAX_D2_EXTREMA, detect_beats, edge_guard,
-                                 locate_fiducials, smooth_derivatives, write_fiducial_table)
+                                 locate_fiducials, smooth_derivatives)
 from ppgtriage.synth import BeatModel, ClassParams, CohortSpec, synth_beat, synth_recording
 
 from .conftest import make_beat, random_beat_model
@@ -141,19 +141,3 @@ def test_indices_invariant_to_scale_and_shift():
     spans_scaled = detect_beats(2.0 * _steady_window() + 1.0, FS)
     assert [(s.onset, s.systolic_peak, s.next_onset) for s in spans] == \
            [(s.onset, s.systolic_peak, s.next_onset) for s in spans_scaled]
-
-
-def test_fiducial_debug_export(tmp_path):
-    x = _steady_window(duration_s=10.0)
-    spans = detect_beats(x, FS)
-    sets = [locate_fiducials(x[s.onset:s.next_onset], FS) for s in spans]
-    path = tmp_path / "fiducials.tsv"
-    write_fiducial_table(path, spans, sets)
-    lines = path.read_text().strip().split("\n")
-    assert len(lines) == len(spans) + 1
-    header = lines[0].split("\t")
-    assert header[:3] == ["beat", "onset", "next_onset"]
-    assert "sp" in header and "e" in header and "p2" in header
-    first = lines[1].split("\t")
-    sp_col = header.index("sp")
-    assert int(first[sp_col]) == spans[0].onset + sets[0].sp

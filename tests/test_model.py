@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from ppgtriage.evaluate import auroc
-from ppgtriage.model import (LogisticModel, fit_logistic, fit_standardizer, load_model,
-                             logistic_loss_grad, predict_proba, rfe, save_model, train_model)
+from ppgtriage.model import (LogisticModel, fit_logistic, fit_standardizer,
+                             logistic_loss_grad, predict_proba, rfe, train_model)
 
 
 def test_standardizer_arithmetic():
@@ -221,21 +221,6 @@ def test_affine_rescaling_leaves_predictions_unchanged():
     pa = predict_proba(model_a, X)
     pb = predict_proba(model_b, X_scaled)
     assert np.max(np.abs(pa - pb)) < 1e-6
-
-
-def test_model_file_round_trip(tmp_path):
-    X, y = _trained_pair(seed=11)
-    names = [f"f{i}" for i in range(X.shape[1])]
-    model = train_model(X, y, names, lam=0.7, k=3)
-    path = tmp_path / "model.json"
-    save_model(model, path)
-    back = load_model(path)
-    assert back.feature_names == model.feature_names
-    assert np.array_equal(back.coef, model.coef)
-    assert back.intercept == model.intercept
-    assert back.lam == model.lam
-    assert np.array_equal(back.standardizer.mean, model.standardizer.mean)
-    assert np.array_equal(predict_proba(back, X), predict_proba(model, X))
 
 
 def test_all_constant_features_degrade_to_base_rate_model():

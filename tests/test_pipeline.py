@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from ppgtriage.config import RunConfig
+from ppgtriage.errors import DataError
 from ppgtriage.evaluate import run_experiment
 from ppgtriage.io import Recording, write_cohort
 from ppgtriage.pipeline import extract_cohort, extract_matrix, process_recording
@@ -26,6 +27,16 @@ def test_single_clean_recording_gives_two_rows():
     assert len(rows) == 2
     assert screening["n_windows"] == 2 and screening["kept"] == 2
     assert {r[1] for r in rows} == {0, 1}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_extract_matrix_rejects_non_finite_sample(workers):
+    spec = separated_cohort_spec(n_positive=1, n_negative=1, duration_s=65.0, seed=1)
+    recordings = synth_cohort(spec)
+    recordings[1].samples[4321] = np.nan
+    pid = recordings[1].patient_id
+    with pytest.raises(DataError, match=f"'{pid}': non-finite sample at index 4321"):
+        extract_matrix(recordings, RunConfig(), workers=workers)
 
 
 def test_all_noise_recording_gives_no_rows():

@@ -5,7 +5,6 @@ from ppgtriage.errors import ConfigError, SignalTooShortError
 from ppgtriage.io import Recording
 from ppgtriage.preprocess import (KEPT, REJECT_AMPLITUDE_MODULATION, REJECT_FLATLINE,
                                   REJECT_TOO_FEW_BEATS, Window, compute_sqi, design_bandpass,
-                                  exclusion_counts, one_pass_response_db, screen_windows,
                                   segment_windows, zero_phase_filter)
 from ppgtriage.synth import separated_cohort_spec, synth_recording
 
@@ -48,8 +47,10 @@ def test_single_pass_magnitude_meets_band_spec(design):
     assert abs(db[0]) < 1.0          # passband flat at 5 Hz
     assert db[1] <= -20.0            # drift rejection
     assert db[2] <= -20.0            # high-frequency rejection
-    db_design = one_pass_response_db(design, grid_freqs)
-    assert np.allclose(db, db_design, atol=0.05)
+    from scipy.signal import sosfreqz
+
+    _, h = sosfreqz(design.sos, worN=2.0 * np.pi * grid_freqs / design.fs)
+    assert np.allclose(db, 20.0 * np.log10(np.abs(h)), atol=0.05)
 
 
 def test_design_is_stable(design):
@@ -131,6 +132,12 @@ def test_windows_partition_recording_exactly():
     assert [w.window_index for w in windows] == [0, 1, 2]
 
 
+def test_zero_length_window_is_config_error():
+    with pytest.raises(ConfigError, match=r"window_s=0\.01 at fs=10\.0"):
+        segment_windows(_dummy_recording(30.0), window_s=0.01)
+    assert len(segment_windows(_dummy_recording(30.0), window_s=0.1)) == 300
+
+
 def test_clean_window_kept_with_high_score(clean_window):
     sqi = compute_sqi(clean_window)
     assert sqi.verdict == KEPT
@@ -163,28 +170,23 @@ def test_screening_partitions_and_counts(clean_window):
     bad = Window("P0", 1, FS, np.full(30000, 1.0))
     modulated = Window("P0", 2, FS, clean_window.samples *
                        np.linspace(1.0, 6.0, 30000))
-    kept, excluded = screen_windows([clean_window, bad, modulated])
-    assert [w.window_index for w in kept] == [0]
-    assert {w.window_index for w in excluded} == {1, 2}
-    counts = exclusion_counts(excluded)
-    assert counts[REJECT_FLATLINE] == 1
-    assert sum(counts.values()) == 2
-    assert all(w.sqi is not None for w in kept + excluded)
+    verdicts = [compute_sqi(w).verdict for w in (clean_window, bad, modulated)]
+    assert verdicts[0] == KEPT
+    assert verdicts[1] == REJECT_FLATLINE
+    assert verdicts[2] not in (KEPT, REJECT_FLATLINE)
 
 
 def test_all_clean_windows_yield_empty_exclusions(clean_window):
-    kept, excluded = screen_windows([clean_window])
-    assert excluded == []
-    assert kept == [clean_window] and clean_window.kept
+    sqi = compute_sqi(clean_window)
+    assert sqi.kept and sqi.verdict == KEPT
 
 
 def test_vacuous_thresholds_keep_everything_with_beats(clean_window):
     noisy = Window("P0", 1, FS, clean_window.samples +
                    np.random.default_rng(0).normal(0, 0.3, 30000))
-    kept, excluded = screen_windows([clean_window, noisy], sqi_threshold=-1.0,
-                                    am_threshold=float("inf"), min_beats=1)
-    assert excluded == []
-    assert len(kept) == 2
+    for window in (clean_window, noisy):
+        sqi = compute_sqi(window, sqi_threshold=-1.0, am_threshold=float("inf"), min_beats=1)
+        assert sqi.kept
 
 
 def test_screening_is_order_independent(clean_window):

@@ -8,7 +8,7 @@ from ppgtriage.fiducials import detect_beats
 from ppgtriage.pipeline import synth_cohort_to_dir
 from ppgtriage.synth import (BeatModel, ClassParams, CohortSpec, _draw_periods, cohort_labels,
                              matched_cohort_spec, separated_cohort_spec, spec_from_dict,
-                             spec_from_json, synth_beat, synth_cohort, synth_recording)
+                             synth_beat, synth_cohort, synth_recording)
 
 
 def test_beat_peak_amplitude_single_wave():
@@ -120,7 +120,7 @@ def test_synth_to_dir_byte_identical(tmp_path):
         assert (tmp_path / "a" / f).read_bytes() == (tmp_path / "b" / f).read_bytes()
 
 
-def test_spec_json_round_trip(tmp_path):
+def test_spec_json_round_trip():
     doc = {
         "n_positive": 3, "n_negative": 4, "duration_s": 33.0, "fs": 200.0,
         "noise_sd": 0.005, "seed": 12,
@@ -128,9 +128,7 @@ def test_spec_json_round_trip(tmp_path):
                      "beat": {"diastolic_amp": 0.4, "diastolic_center": 0.5,
                               "diastolic_width": 0.06}},
     }
-    path = tmp_path / "spec.json"
-    path.write_text(json.dumps(doc))
-    spec = spec_from_json(path)
+    spec = spec_from_dict(json.loads(json.dumps(doc)))
     assert spec.n_positive == 3 and spec.fs == 200.0
     assert spec.positive.mean_hr_bpm == 80.0
     assert spec.positive.beat.diastolic_amp == 0.4
