@@ -21,9 +21,9 @@ _EXPORTS = {
     "io": ("Recording", "binarize_label", "load_cohort", "read_report", "write_cohort",
            "write_report"),
     "model": ("LogisticModel", "fit_logistic", "predict_proba", "rfe", "train_model"),
-    "pipeline": ("extract_cohort", "extract_matrix", "synth_cohort_to_dir"),
+    "pipeline": ("extract_cohort", "extract_matrix"),
     "synth": ("BeatModel", "ClassParams", "CohortSpec", "synth_beat", "synth_cohort",
-              "synth_recording"),
+              "synth_cohort_to_dir", "synth_recording"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -18,18 +18,13 @@ from .errors import ConfigError, DataError, EvaluationError
 from .evaluate import run_experiment
 from .features import FeatureMatrix
 from .io import write_report
+from .synth import spec_from_dict, synth_cohort_to_dir
 
 
-# The synth and extract stages load scipy, which `evaluate` never needs, so
-# they are imported on first call. They stay attributes of this module because
+# The extract stage loads scipy, which `synth` and `evaluate` never need, so it
+# is imported on first call. It stays an attribute of this module because
 # instrumentation (the tracer in perfbench/) wraps each stage where the
 # commands look it up.
-def synth_cohort_to_dir(*args, **kwargs):
-    from .pipeline import synth_cohort_to_dir as stage
-
-    return stage(*args, **kwargs)
-
-
 def extract_cohort(*args, **kwargs):
     from .pipeline import extract_cohort as stage
 
@@ -83,8 +78,6 @@ def cmd_synth(args) -> int:
         raise ConfigError(f"cohort spec {spec_path} must be a JSON object")
     if args.seed is None and "seed" not in doc:
         raise ConfigError("a seed is required: set 'seed' in the spec or pass --seed")
-    from .synth import spec_from_dict
-
     spec = spec_from_dict(doc)
     if args.seed is not None:
         spec.seed = args.seed

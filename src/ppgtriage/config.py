@@ -70,6 +70,23 @@ _KEY_MAP = {
 }
 
 
+def parse_number(value, kind: type, where: str):
+    """Cast one value of a JSON document to `kind` (int or float).
+
+    Booleans, fractional values for an int, and anything `kind` cannot parse
+    raise ConfigError naming `where`, so a malformed file never becomes a
+    traceback or a silently truncated number.
+    """
+    if isinstance(value, bool):
+        raise ConfigError(f"{where}: expected a number, got {value!r}")
+    if kind is int and isinstance(value, float) and not value.is_integer():
+        raise ConfigError(f"{where}: expected an integer, got {value!r}")
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+
+
 def config_from_dict(doc: dict) -> RunConfig:
     unknown = set(doc) - set(_KEY_MAP)
     if unknown:
@@ -83,16 +100,10 @@ def config_from_dict(doc: dict) -> RunConfig:
             cfg = replace(cfg, families=tuple(value))
         elif value is None and key in ("seed", "workers"):
             cfg = replace(cfg, **{attr: None})
+        elif key == "metric_level":
+            cfg = replace(cfg, metric_level=str(value))
         else:
-            caster = _KEY_MAP[key]
-            if caster is not str and isinstance(value, bool):
-                raise ConfigError(f"config key '{key}': expected a number, got {value!r}")
-            if caster is int and isinstance(value, float) and not value.is_integer():
-                raise ConfigError(f"config key '{key}': expected an integer, got {value!r}")
-            try:
-                cfg = replace(cfg, **{attr: caster(value)})
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"config key '{key}': {exc}") from exc
+            cfg = replace(cfg, **{attr: parse_number(value, _KEY_MAP[key], f"config key '{key}'")})
     cfg.validate()
     return cfg
 

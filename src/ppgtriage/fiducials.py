@@ -25,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.ndimage import uniform_filter1d
 from scipy.signal import find_peaks
 
@@ -37,6 +38,8 @@ REFRACTORY_S = 0.3
 #: moving-quantile threshold for systolic peak candidates
 PEAK_QUANTILE = 0.70
 PEAK_QUANTILE_WIN_S = 3.0
+#: most samples one batched moving-quantile call copies (8 MB of float64)
+QUANTILE_BLOCK = 1 << 20
 #: candidate extrema with prominence below this fraction of the interior range are noise
 EXTREMUM_FLOOR = 0.05
 #: extra samples excluded beyond the smoothing length at each span edge
@@ -103,7 +106,20 @@ def _moving_quantile(x: np.ndarray, fs: float, q: float, win_s: float,
     half = max(1, round(win_s * fs / 2))
     stride = max(1, round(stride_s * fs))
     centers = np.arange(0, n, stride)
-    vals = np.array([np.quantile(x[max(0, c - half):min(n, c + half + 1)], q) for c in centers])
+    vals = np.empty(len(centers))
+    # centres whose window lies inside x go through batched quantile calls over
+    # a sliding-window view, in row blocks that bound the temporary copy; only
+    # the clipped edge centres need a call each
+    full = (centers >= half) & (centers + half < n)
+    if full.any():
+        view = sliding_window_view(x, 2 * half + 1)
+        starts = centers[full] - half
+        rows = max(1, QUANTILE_BLOCK // (2 * half + 1))
+        vals[full] = np.concatenate([np.quantile(view[starts[i:i + rows]], q, axis=1)
+                                     for i in range(0, len(starts), rows)])
+    for k in np.flatnonzero(~full):
+        c = centers[k]
+        vals[k] = np.quantile(x[max(0, c - half):min(n, c + half + 1)], q)
     if len(centers) == 1:
         return np.full(n, vals[0])
     return np.interp(np.arange(n), centers, vals)
@@ -157,20 +173,18 @@ def smooth_derivatives(beat: np.ndarray, fs: float) -> tuple[np.ndarray, np.ndar
     return d1, d2, d3
 
 
-def _candidate_extrema(y: np.ndarray, guard: int, floor_frac: float = EXTREMUM_FLOOR
-                       ) -> tuple[np.ndarray, np.ndarray]:
-    """Indices of significant local maxima/minima of y: edge-guard zone excluded,
-    prominence at least floor_frac of the interior peak-to-peak range."""
+def _candidate_maxima(y: np.ndarray, guard: int, floor_frac: float = EXTREMUM_FLOOR
+                      ) -> np.ndarray:
+    """Indices of significant local maxima of y (pass -y for minima): edge-guard
+    zone excluded, prominence at least floor_frac of the interior peak-to-peak
+    range."""
     n = len(y)
     if n - 2 * guard < 3:
-        return np.empty(0, dtype=int), np.empty(0, dtype=int)
+        return np.empty(0, dtype=int)
     lo, hi = guard, n - guard
     floor = floor_frac * np.ptp(y[lo:hi])
     maxima, _ = find_peaks(y, prominence=floor)
-    minima, _ = find_peaks(-y, prominence=floor)
-    maxima = maxima[(maxima >= lo) & (maxima < hi)]
-    minima = minima[(minima >= lo) & (minima < hi)]
-    return maxima, minima
+    return maxima[(maxima >= lo) & (maxima < hi)]
 
 
 def _first_after(indices: np.ndarray, pos: int) -> int | None:
@@ -195,7 +209,7 @@ def locate_fiducials(beat: np.ndarray, fs: float,
     if np.ptp(beat) == 0:
         return fid
 
-    d2_max, d2_min = _candidate_extrema(d2, guard)
+    d2_max, d2_min = _candidate_maxima(d2, guard), _candidate_maxima(-d2, guard)
     if len(d2_max) + len(d2_min) > MAX_D2_EXTREMA:
         return fid      # structureless (noise) beat: report nothing
 
@@ -217,7 +231,7 @@ def locate_fiducials(beat: np.ndarray, fs: float,
     tail_lo, tail_hi = fid.sp + 1, len(beat) - guard
     if tail_hi - tail_lo > 0:
         fid.v = tail_lo + int(np.argmin(d1[tail_lo:tail_hi]))
-        d1_max, _ = _candidate_extrema(d1, guard)
+        d1_max = _candidate_maxima(d1, guard)
         fid.w = _first_after(d1_max, fid.v)
 
     # dicrotic notch: the pulse minimum nearest the e-point; when the pulse
@@ -242,7 +256,7 @@ def locate_fiducials(beat: np.ndarray, fs: float,
     if fid.d is not None:
         fid.p2 = fid.d
     if fid.b is not None:
-        d3_max, _ = _candidate_extrema(d3, guard)
+        d3_max = _candidate_maxima(d3, guard)
         p1 = _first_after(d3_max, fid.b)
         if p1 is not None and (fid.p2 is None or p1 <= fid.p2):
             fid.p1 = p1

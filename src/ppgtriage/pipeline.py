@@ -8,7 +8,6 @@ sample file).
 
 from __future__ import annotations
 
-import json
 from functools import partial
 from pathlib import Path
 
@@ -21,8 +20,12 @@ from .features import (MOR_NAMES, FeatureMatrix, aggregate_window_mor, assemble_
 from .fiducials import detect_beats, locate_fiducials, smooth_derivatives
 from .io import Recording, load_manifest, load_recording, write_samples
 from .preprocess import compute_sqi, design_bandpass, filter_recording, segment_windows
-from .synth import CohortSpec, cohort_labels, synth_recording
+from .synth import synth_cohort_to_dir, synth_recording
 from .utils import pmap
+
+# write_samples, synth_recording and synth_cohort_to_dir are re-exported for
+# callers and instrumentation that look them up here. The synth-to-disk code
+# lives in `synth`, which imports no scipy, so `ppgtriage synth` never loads it.
 
 WindowRow = tuple[str, int, dict]
 
@@ -131,32 +134,3 @@ def extract_cohort(manifest_path: Path | str, config: RunConfig | None = None,
     labels = {entry["patient_id"]: entry["label"] for entry in entries}
     load = partial(load_recording, base_dir=str(manifest_path.parent))
     return _extract(entries, load, labels, config, workers)
-
-
-def _synth_and_write(task: tuple, out_dir: str):
-    spec, label, index = task
-    patient_id = f"{label}-{index:04d}"
-    recording = synth_recording(spec, label, patient_id, stream=index)
-    fname = f"{patient_id}.txt"
-    write_samples(Path(out_dir) / fname, recording.samples)
-    return {
-        "patient_id": patient_id,
-        "sample_file": fname,
-        "fs": recording.fs,
-        "label": recording.label,
-        "age": recording.age,
-        "sex": recording.sex,
-    }
-
-
-def synth_cohort_to_dir(spec: CohortSpec, out_dir: Path | str,
-                        workers: int | None = 1) -> Path:
-    """Generate a cohort straight to disk (manifest + sample files)."""
-    spec.validate()
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    tasks = [(spec, label, idx) for idx, label in enumerate(cohort_labels(spec))]
-    entries = pmap(partial(_synth_and_write, out_dir=str(out_dir)), tasks, workers=workers)
-    manifest_path = out_dir / "manifest.json"
-    manifest_path.write_text(json.dumps({"entries": entries}, indent=2) + "\n")
-    return manifest_path

@@ -13,14 +13,19 @@ so parallel generation is deterministic regardless of schedule.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass, field, asdict
+from functools import partial
+from pathlib import Path
 
 import numpy as np
-from scipy.signal import lfilter
 
+from . import io
+from .config import parse_number
 from .errors import ConfigError
 from .io import Recording
+from .utils import pmap
 
 MIN_PERIOD_S = 0.3
 MAX_PERIOD_S = 2.0
@@ -97,6 +102,8 @@ class CohortSpec:
             raise ConfigError("duration_s must be positive")
         if self.fs <= 0:
             raise ConfigError("fs must be positive")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
         if self.noise_sd < 0 or self.wander_amp < 0 or self.wander_freq_hz < 0:
             raise ConfigError("noise_sd, wander_amp, wander_freq_hz must be >= 0")
         if not (0.0 <= self.male_fraction <= 1.0):
@@ -115,6 +122,21 @@ def synth_beat(model: BeatModel, t) -> np.ndarray:
     return sys_wave + dia_wave
 
 
+def _ar1(eps: np.ndarray, coef: float) -> np.ndarray:
+    """AR(1) filter dev[i] = eps[i] + coef * dev[i-1], starting from rest.
+
+    Bit for bit equal to scipy.signal.lfilter([1], [1, -coef], eps) whenever
+    eps holds no negative zero, which a normal draw around 0.0 never yields;
+    a plain loop over ~1000 periods costs far less than importing scipy.signal.
+    """
+    dev = []
+    prev = 0.0
+    for e in eps.tolist():
+        prev = e + coef * prev
+        dev.append(prev)
+    return np.array(dev)
+
+
 def _draw_periods(rng: np.random.Generator, params: ClassParams, duration_s: float) -> np.ndarray:
     """Beat periods covering at least duration_s, clamped to a physiologic range.
 
@@ -130,8 +152,7 @@ def _draw_periods(rng: np.random.Generator, params: ClassParams, duration_s: flo
         first = rng.normal(0.0, sd_period)
         eps = rng.normal(0.0, sd_period * math.sqrt(max(0.0, 1.0 - params.hr_ar**2)), n)
         eps[0] = first
-        dev = lfilter([1.0], [1.0, -params.hr_ar], eps)
-        block = np.clip(mean_period + dev, MIN_PERIOD_S, MAX_PERIOD_S)
+        block = np.clip(mean_period + _ar1(eps, params.hr_ar), MIN_PERIOD_S, MAX_PERIOD_S)
         periods = np.concatenate([periods, block])
     return periods
 
@@ -194,6 +215,37 @@ def synth_cohort(spec: CohortSpec) -> list[Recording]:
     return recordings
 
 
+def _synth_and_write(task: tuple, out_dir: str) -> dict:
+    spec, label, index = task
+    patient_id = f"{label}-{index:04d}"
+    # both names are looked up through their modules at call time, so
+    # instrumentation that replaces the module attributes sees every call
+    recording = synth_recording(spec, label, patient_id, stream=index)
+    fname = f"{patient_id}.txt"
+    io.write_samples(Path(out_dir) / fname, recording.samples)
+    return {
+        "patient_id": patient_id,
+        "sample_file": fname,
+        "fs": recording.fs,
+        "label": recording.label,
+        "age": recording.age,
+        "sex": recording.sex,
+    }
+
+
+def synth_cohort_to_dir(spec: CohortSpec, out_dir: Path | str,
+                        workers: int | None = 1) -> Path:
+    """Generate a cohort straight to disk (manifest + sample files)."""
+    spec.validate()
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    tasks = [(spec, label, idx) for idx, label in enumerate(cohort_labels(spec))]
+    entries = pmap(partial(_synth_and_write, out_dir=str(out_dir)), tasks, workers=workers)
+    manifest_path = out_dir / "manifest.json"
+    manifest_path.write_text(json.dumps({"entries": entries}, indent=2) + "\n")
+    return manifest_path
+
+
 def separated_cohort_spec(n_positive: int = 25, n_negative: int = 61,
                           duration_s: float = 600.0, fs: float = 1000.0,
                           seed: int = 0) -> CohortSpec:
@@ -222,7 +274,17 @@ def matched_cohort_spec(n_positive: int = 25, n_negative: int = 61,
                       seed=seed)
 
 
-def _class_params_from_dict(doc: dict, where: str) -> ClassParams:
+def _spec_number(value, kind: type, where: str):
+    """A spec number as `kind`; every number in a cohort spec must be finite."""
+    number = parse_number(value, kind, where)
+    if kind is float and not math.isfinite(number):
+        raise ConfigError(f"{where}: expected a finite number, got {value!r}")
+    return number
+
+
+def _class_params_from_dict(doc, where: str) -> ClassParams:
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{where} must be a JSON object")
     known = {"beat", "mean_hr_bpm", "hr_sd_bpm", "hr_ar", "age_range"}
     unknown = set(doc) - known
     if unknown:
@@ -230,16 +292,21 @@ def _class_params_from_dict(doc: dict, where: str) -> ClassParams:
     params = ClassParams()
     if "beat" in doc:
         beat_doc = doc["beat"]
+        if not isinstance(beat_doc, dict):
+            raise ConfigError(f"{where}.beat must be a JSON object")
         bad = set(beat_doc) - set(asdict(BeatModel()))
         if bad:
             raise ConfigError(f"{where}.beat: unknown keys {sorted(bad)}")
-        params.beat = BeatModel(**{k: float(v) for k, v in beat_doc.items()})
+        params.beat = BeatModel(**{k: _spec_number(v, float, f"{where}.beat.{k}")
+                                   for k, v in beat_doc.items()})
     for key in ("mean_hr_bpm", "hr_sd_bpm", "hr_ar"):
         if key in doc:
-            setattr(params, key, float(doc[key]))
+            setattr(params, key, _spec_number(doc[key], float, f"{where}.{key}"))
     if "age_range" in doc:
-        lo, hi = doc["age_range"]
-        params.age_range = (float(lo), float(hi))
+        bounds = doc["age_range"]
+        if not isinstance(bounds, (list, tuple)) or len(bounds) != 2:
+            raise ConfigError(f"{where}.age_range must be a list [lo, hi]")
+        params.age_range = tuple(_spec_number(v, float, f"{where}.age_range") for v in bounds)
     return params
 
 
@@ -252,10 +319,10 @@ def spec_from_dict(doc: dict) -> CohortSpec:
     spec = CohortSpec()
     for key in ("duration_s", "fs", "noise_sd", "wander_amp", "wander_freq_hz", "male_fraction"):
         if key in doc:
-            setattr(spec, key, float(doc[key]))
+            setattr(spec, key, _spec_number(doc[key], float, f"cohort spec key '{key}'"))
     for key in ("n_positive", "n_negative", "seed"):
         if key in doc:
-            setattr(spec, key, int(doc[key]))
+            setattr(spec, key, _spec_number(doc[key], int, f"cohort spec key '{key}'"))
     if "positive" in doc:
         spec.positive = _class_params_from_dict(doc["positive"], "positive")
     if "negative" in doc:

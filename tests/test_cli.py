@@ -207,6 +207,29 @@ def test_synth_unreadable_spec_is_config_error(tmp_path, capsys, content):
     assert not (tmp_path / "d").exists()
 
 
+@pytest.mark.parametrize("change", [
+    {"n_positive": "abc"}, {"n_positive": 2.7}, {"n_negative": True}, {"seed": 5.5},
+    {"seed": False}, {"fs": "fast"}, {"duration_s": None}, {"noise_sd": True},
+    {"positive": {"hr_ar": "x"}}, {"negative": {"beat": {"diastolic_amp": True}}},
+    {"positive": {"age_range": [50, "old"]}}, {"positive": {"age_range": 60}},
+    {"negative": 3}, {"positive": {"beat": [1.0]}}, {"seed": -1}, {"duration_s": 1e400},
+    {"fs": float("nan")}, {"noise_sd": 1e400}, {"positive": {"hr_sd_bpm": float("nan")}},
+    {"fs": 10**400},
+])
+def test_synth_malformed_spec_number_is_config_error(tmp_path, capsys, change):
+    spec = _write(tmp_path / "spec.json", dict(TINY_SPEC, **change))
+    assert main(["synth", "--spec", spec, "--out", str(tmp_path / "d")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error[config]:") and err.count("\n") == 1
+    assert not (tmp_path / "d").exists()
+
+
+def test_synth_accepts_integral_float_counts(tmp_path):
+    spec = _write(tmp_path / "spec.json", dict(TINY_SPEC, n_positive=1.0, n_negative=1))
+    assert main(["synth", "--spec", spec, "--out", str(tmp_path / "d")]) == 0
+    assert len(json.loads((tmp_path / "d" / "manifest.json").read_text())["entries"]) == 2
+
+
 def test_extract_zero_length_window_is_config_error(cohort_dir, tmp_path, capsys):
     cfg = _write(tmp_path / "cfg.json", {"window_s": 0.0001})
     code = main(["extract", "--manifest", str(cohort_dir / "manifest.json"),

@@ -22,3 +22,9 @@ def test_integral_values_are_accepted():
     assert (cfg.n_iter, cfg.seed, cfg.workers) == (3, 7, 2)
     assert isinstance(cfg.n_iter, int)
     assert (cfg.lam, cfg.window_s) == (2.0, 20.0)
+
+
+@pytest.mark.parametrize("key", ["lambda", "window_s"])
+def test_float_key_too_large_for_a_float_is_config_error(key):
+    with pytest.raises(ConfigError, match=f"'{key}'"):
+        config_from_dict({key: 10**400})

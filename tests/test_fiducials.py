@@ -1,9 +1,14 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ppgtriage import fiducials
 from ppgtriage.errors import SignalTooShortError
-from ppgtriage.fiducials import (EXTREMUM_FLOOR, MAX_D2_EXTREMA, detect_beats, edge_guard,
-                                 locate_fiducials, smooth_derivatives)
+from ppgtriage.fiducials import (EXTREMUM_FLOOR, MAX_D2_EXTREMA, _moving_quantile, detect_beats,
+                                 edge_guard, locate_fiducials, smooth_derivatives)
 from ppgtriage.synth import BeatModel, ClassParams, CohortSpec, synth_beat, synth_recording
 
 from .conftest import make_beat, random_beat_model
@@ -141,3 +146,29 @@ def test_indices_invariant_to_scale_and_shift():
     spans_scaled = detect_beats(2.0 * _steady_window() + 1.0, FS)
     assert [(s.onset, s.systolic_peak, s.next_onset) for s in spans] == \
            [(s.onset, s.systolic_peak, s.next_onset) for s in spans_scaled]
+
+
+def _moving_quantile_per_centre(x, fs, q, win_s, stride_s=0.25):
+    """Reference: one np.quantile call per centre."""
+    n = len(x)
+    half = max(1, round(win_s * fs / 2))
+    stride = max(1, round(stride_s * fs))
+    centers = np.arange(0, n, stride)
+    vals = np.array([np.quantile(x[max(0, c - half):min(n, c + half + 1)], q) for c in centers])
+    if len(centers) == 1:
+        return np.full(n, vals[0])
+    return np.interp(np.arange(n), centers, vals)
+
+
+@settings(max_examples=200, deadline=None)
+@given(x=st.lists(st.floats(-1e3, 1e3, allow_nan=False), min_size=1, max_size=400),
+       fs=st.sampled_from([10.0, 40.0, 100.0]), q=st.floats(0.0, 1.0),
+       win_s=st.floats(0.05, 8.0), stride_s=st.floats(0.01, 1.0),
+       block=st.sampled_from([1, 40, fiducials.QUANTILE_BLOCK]))
+def test_batched_moving_quantile_matches_per_centre_bitwise(x, fs, q, win_s, stride_s, block):
+    # windows longer than x (no full-width centre) and blocks of one row are included
+    x = np.array(x)
+    expected = _moving_quantile_per_centre(x, fs, q, win_s, stride_s)
+    with mock.patch.object(fiducials, "QUANTILE_BLOCK", block):
+        got = _moving_quantile(x, fs, q, win_s, stride_s)
+    assert got.tobytes() == expected.tobytes()

@@ -1,14 +1,18 @@
+import hashlib
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ppgtriage import pipeline
 from ppgtriage.errors import ConfigError
 from ppgtriage.fiducials import detect_beats
-from ppgtriage.pipeline import synth_cohort_to_dir
-from ppgtriage.synth import (BeatModel, ClassParams, CohortSpec, _draw_periods, cohort_labels,
-                             matched_cohort_spec, separated_cohort_spec, spec_from_dict,
-                             synth_beat, synth_cohort, synth_recording)
+from ppgtriage.synth import (BeatModel, ClassParams, CohortSpec, _ar1, _draw_periods,
+                             cohort_labels, matched_cohort_spec, separated_cohort_spec,
+                             spec_from_dict, synth_beat, synth_cohort, synth_cohort_to_dir,
+                             synth_recording)
 
 
 def test_beat_peak_amplitude_single_wave():
@@ -118,6 +122,44 @@ def test_synth_to_dir_byte_identical(tmp_path):
     assert m1.read_bytes() == m2.read_bytes()
     for f in sorted(p.name for p in (tmp_path / "a").iterdir()):
         assert (tmp_path / "a" / f).read_bytes() == (tmp_path / "b" / f).read_bytes()
+
+
+def test_pipeline_reexports_the_one_synth_to_dir():
+    assert pipeline.synth_cohort_to_dir is synth_cohort_to_dir
+    assert pipeline.synth_recording is synth_recording
+
+
+#: sha256 over the names and bytes of the manifest and sample files below, as
+#: written when periods still went through scipy.signal.lfilter
+GOLDEN_COHORT_SHA256 = "d81f120464de03bafc6d43bfd2c2d9ad8070d86c4ae1dca853cf59007155d80b"
+
+
+def test_synth_to_dir_matches_golden_bytes(tmp_path):
+    spec = CohortSpec(n_positive=2, n_negative=3, duration_s=12.0, fs=200.0,
+                      positive=ClassParams(mean_hr_bpm=80.0, hr_sd_bpm=3.0, hr_ar=0.6),
+                      negative=ClassParams(mean_hr_bpm=66.0, hr_sd_bpm=2.0, hr_ar=-0.4),
+                      seed=11)
+    synth_cohort_to_dir(spec, tmp_path, workers=1)
+    digest = hashlib.sha256()
+    for path in sorted(tmp_path.iterdir()):
+        digest.update(path.name.encode() + b"\0" + path.read_bytes())
+    assert digest.hexdigest() == GOLDEN_COHORT_SHA256
+
+
+# `+ 0.0` turns -0.0 into 0.0: the period draws never hold a negative zero, the
+# one input on which the recurrence and lfilter differ in the sign of a zero
+_innovations = st.lists(st.floats(-1e6, 1e6, allow_nan=False).map(lambda v: v + 0.0),
+                        min_size=1, max_size=200)
+
+
+@settings(max_examples=300, deadline=None)
+@given(eps=_innovations,
+       coef=st.one_of(st.just(0.0), st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True)))
+def test_ar1_matches_lfilter_bitwise(eps, coef):
+    from scipy.signal import lfilter
+
+    eps = np.array(eps)
+    assert _ar1(eps, coef).tobytes() == lfilter([1.0], [1.0, -coef], eps).tobytes()
 
 
 def test_spec_json_round_trip():

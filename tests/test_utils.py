@@ -28,6 +28,24 @@ def test_evaluate_path_loads_no_scipy():
     assert run.returncode == 0, run.stderr
 
 
+def test_synth_path_loads_no_scipy(tmp_path):
+    spec = tmp_path / "spec.json"
+    spec.write_text('{"n_positive": 1, "n_negative": 1, "duration_s": 12.0, "fs": 100.0, '
+                    '"positive": {"hr_ar": 0.5}, "seed": 2}')
+    run = _run(f"""
+        import sys
+        import ppgtriage.synth
+        from ppgtriage import cli
+        code = cli.main(["synth", "--spec", {str(spec)!r}, "--out", {str(tmp_path / "c")!r},
+                         "--workers", "1"])
+        assert code == 0, code
+        loaded = [m for m in ("scipy.stats", "scipy.signal", "scipy.ndimage") if m in sys.modules]
+        assert not loaded, loaded
+    """)
+    assert run.returncode == 0, run.stderr
+    assert (tmp_path / "c" / "manifest.json").is_file()
+
+
 def test_package_exports_resolve():
     import ppgtriage
 
