@@ -1,11 +1,18 @@
 """Regularized logistic regression with coefficient-magnitude feature elimination.
 
 The loss is the mean negative log-likelihood plus (lam/2)*||coef||^2 with the
-intercept unpenalized. Fitting starts from zero and runs damped Newton steps
-with a backtracking line search until the gradient norm reaches tolerance, so
-identical inputs produce bit-identical models. Elimination refits after
-removing the feature with the smallest |coefficient| (standardized scale) one
-at a time; ties keep the earlier catalog entry.
+intercept unpenalized. Fitting starts from zero (or from a given start) and
+runs damped Newton steps with a backtracking line search until the gradient
+norm reaches tolerance, so identical inputs produce bit-identical models.
+
+Elimination removes the feature with the smallest |coefficient| (standardized
+scale) one at a time. Magnitudes within a relative TIE_RTOL of the smallest
+count as tied, and ties keep the earlier catalog entry, so exactly duplicated
+columns do not hinge on float noise. Each elimination refit starts from the
+previous solution minus the dropped coefficient, which takes about half the
+Newton steps of a zero start. The final refit of the selected features starts
+from zero, so the returned model is bit-identical to a zero-start fit of that
+selection; a warm final fit would move metrics by about 1e-7.
 """
 
 from __future__ import annotations
@@ -19,6 +26,7 @@ from .errors import DataError, EvaluationError
 DEFAULT_LAMBDA = 1.0
 DEFAULT_RFE_K = 10
 GRAD_TOL = 1e-6
+TIE_RTOL = 1e-7
 MAX_ITER = 10_000
 
 
@@ -90,21 +98,29 @@ def _loss_grad_proba(coef: np.ndarray, intercept: float, X: np.ndarray, y: np.nd
 
 
 def fit_logistic(X: np.ndarray, y: np.ndarray, lam: float = DEFAULT_LAMBDA,
-                 tol: float = GRAD_TOL, max_iter: int = MAX_ITER
+                 tol: float = GRAD_TOL, max_iter: int = MAX_ITER, *,
+                 start: tuple[np.ndarray, float] | None = None
                  ) -> tuple[np.ndarray, float, dict]:
     """Minimize the regularized logistic loss; returns (coef, intercept, diagnostics).
 
-    Deterministic: zero initialization, Newton direction with an Armijo
-    backtracking line search, gradient-descent fallback if a Newton step is
-    unusable. Convergence means gradient 2-norm <= tol.
+    Deterministic: zero initialization unless `start` gives a (coef, intercept)
+    pair to begin from, Newton direction with an Armijo backtracking line
+    search, gradient-descent fallback if a Newton step is unusable.
+    Convergence means gradient 2-norm <= tol.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     n, d = X.shape
     if n < 1:
         raise EvaluationError("cannot fit on an empty training set")
-    coef = np.zeros(d)
-    intercept = 0.0
+    if start is None:
+        coef = np.zeros(d)
+        intercept = 0.0
+    else:
+        coef = np.array(start[0], dtype=np.float64)
+        intercept = float(start[1])
+        if coef.shape != (d,):
+            raise ValueError(f"start has {coef.shape} coefficients for {d} features")
     loss, grad_coef, grad_int, p = _loss_grad_proba(coef, intercept, X, y, lam)
     converged = False
     iterations = 0
@@ -178,12 +194,14 @@ def rfe(X: np.ndarray, y: np.ndarray, feature_names: list[str],
     names = list(feature_names)
     active = list(range(X.shape[1]))
     selected_all = X.shape[1] <= k
+    start = None
     while len(active) > k:
-        coef, _, _ = fit_logistic(X[:, active], y, lam=lam)
+        coef, intercept, _ = fit_logistic(X[:, active], y, lam=lam, start=start)
         magnitude = np.abs(coef)
-        smallest = magnitude.min()
-        ties = np.flatnonzero(magnitude == smallest)
-        del active[int(ties[-1])]       # ties keep the earlier catalog entry
+        ties = np.flatnonzero(magnitude <= magnitude.min() * (1 + TIE_RTOL))
+        drop = int(ties[-1])            # ties keep the earlier catalog entry
+        del active[drop]
+        start = (np.delete(coef, drop), intercept)
     coef, intercept, diagnostics = fit_logistic(X[:, active], y, lam=lam)
     diagnostics["selected_all"] = selected_all
     return [names[i] for i in active], coef, intercept, diagnostics

@@ -29,6 +29,11 @@ from .utils import pmap
 
 MIN_PERIOD_S = 0.3
 MAX_PERIOD_S = 2.0
+# Upper bounds on a cohort spec, so an oversized spec is a configuration error
+# rather than an allocation failure: 10^5 recordings, and 5*10^7 samples per
+# recording (about 14 h at 1 kHz, 400 MB as float64).
+MAX_RECORDINGS = 100_000
+MAX_SAMPLES_PER_RECORDING = 50_000_000
 
 
 @dataclass
@@ -102,6 +107,12 @@ class CohortSpec:
             raise ConfigError("duration_s must be positive")
         if self.fs <= 0:
             raise ConfigError("fs must be positive")
+        if self.n_positive + self.n_negative > MAX_RECORDINGS:
+            raise ConfigError(f"a cohort holds at most {MAX_RECORDINGS} recordings, "
+                              f"got {self.n_positive + self.n_negative}")
+        if self.duration_s * self.fs > MAX_SAMPLES_PER_RECORDING:
+            raise ConfigError(f"duration_s * fs must be at most {MAX_SAMPLES_PER_RECORDING} "
+                              f"samples per recording, got {self.duration_s * self.fs:g}")
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
         if self.noise_sd < 0 or self.wander_amp < 0 or self.wander_freq_hz < 0:

@@ -6,11 +6,13 @@ This checks the names without changing perfbench.
 """
 import importlib
 import json
+from collections import Counter
 
+import numpy as np
 import pytest
 
-from perfbench.tracing import TARGETS
-from ppgtriage import cli, io, synth
+from perfbench.tracing import TARGETS, _count_fit
+from ppgtriage import cli, io, model, synth
 
 
 @pytest.mark.parametrize("owner, attr", [(owner, attr) for owner, attr, _, _ in TARGETS])
@@ -48,3 +50,30 @@ def test_synth_calls_the_traced_names_once_per_recording(tmp_path, monkeypatch):
     assert cli.main(["synth", "--spec", str(spec), "--out", str(tmp_path / "c"),
                      "--workers", "1"]) == 0
     assert calls == {"synth_recording": 3, "write_samples": 3}
+
+
+def test_rfe_calls_the_traced_fit_once_per_refit(monkeypatch):
+    """`rfe` looks up fit_logistic through the model module, so the tracer counts
+    every elimination refit and the final one, and each result carries the
+    Newton-step count that its count hook reads."""
+    traced = {(owner, attr): hook for owner, attr, _, hook in TARGETS}
+    assert traced[("ppgtriage.model", "fit_logistic")] is _count_fit
+    original = model.fit_logistic
+    results = []
+
+    def counting(*args, **kwargs):
+        result = original(*args, **kwargs)
+        results.append(result)
+        return result
+
+    monkeypatch.setattr(model, "fit_logistic", counting)
+    rng = np.random.default_rng(16)
+    X = rng.normal(size=(80, 8))
+    y = (X[:, 0] + rng.normal(size=80) > 0).astype(float)
+    model.rfe(X, y, [f"f{i}" for i in range(8)], lam=1.0, k=3)
+    assert len(results) == 6
+    counts = Counter()
+    for result in results:
+        assert isinstance(result[2]["iterations"], int)
+        _count_fit(counts, result)
+    assert counts["model.fit_calls"] == 6

@@ -224,6 +224,19 @@ def test_synth_malformed_spec_number_is_config_error(tmp_path, capsys, change):
     assert not (tmp_path / "d").exists()
 
 
+@pytest.mark.parametrize("change, word", [
+    ({"n_positive": 1e12}, "recordings"), ({"n_negative": 99_999}, "recordings"),
+    ({"duration_s": 1e9}, "samples per recording"),
+    ({"duration_s": 50_001.0, "fs": 1000.0}, "samples per recording"),
+])
+def test_synth_oversized_cohort_is_config_error(tmp_path, capsys, change, word):
+    spec = _write(tmp_path / "spec.json", dict(TINY_SPEC, **change))
+    assert main(["synth", "--spec", spec, "--out", str(tmp_path / "d")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error[config]:") and err.count("\n") == 1 and word in err
+    assert not (tmp_path / "d").exists()
+
+
 def test_synth_accepts_integral_float_counts(tmp_path):
     spec = _write(tmp_path / "spec.json", dict(TINY_SPEC, n_positive=1.0, n_negative=1))
     assert main(["synth", "--spec", spec, "--out", str(tmp_path / "d")]) == 0

@@ -287,6 +287,23 @@ def test_run_experiment_deterministic_and_worker_independent():
     assert a.to_dict() == b.to_dict()
 
 
+@settings(max_examples=8, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_pos=st.integers(3, 8), n_neg=st.integers(3, 10),
+       windows=st.integers(1, 4), shift=st.floats(0.0, 2.0), missing=st.sampled_from([0.0, 0.05]),
+       duplicate=st.booleans(), n_iter=st.integers(1, 4))
+def test_run_experiment_worker_count_invariant(seed, n_pos, n_neg, windows, shift, missing,
+                                               duplicate, n_iter):
+    matrix = synthetic_feature_matrix(n_pos=n_pos, n_neg=n_neg, windows=windows, seed=seed,
+                                      shift=shift)
+    rng = np.random.default_rng(seed)
+    if duplicate:       # an exact RFE coefficient tie, as T_pi/meanPP give
+        matrix.values[:, 5] = matrix.values[:, 1]
+    matrix.values[rng.random(matrix.values.shape) < missing] = np.nan
+    runs = [run_experiment(matrix, n_iter=n_iter, seed=seed, workers=w).to_dict()
+            for w in (1, 2, 2)]
+    assert runs[0] == runs[1] == runs[2]
+
+
 def test_report_written_and_read_back_equal(tmp_path):
     matrix = synthetic_feature_matrix(seed=20)
     report = run_experiment(matrix, n_iter=3, seed=21, screening={"windows_total": 120,

@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ppgtriage.evaluate import auroc
-from ppgtriage.model import (LogisticModel, fit_logistic, fit_standardizer,
+from ppgtriage.model import (TIE_RTOL, LogisticModel, fit_logistic, fit_standardizer,
                              logistic_loss_grad, predict_proba, rfe, train_model)
 
 
@@ -191,6 +193,71 @@ def test_rfe_tie_break_keeps_earlier_feature():
     y = (col > 0).astype(float)
     selected, _, _, _ = rfe(X, y, ["first", "second"], lam=1.0, k=1)
     assert selected == ["first"]
+
+
+@pytest.mark.parametrize("seed, gap", [(8, 4), (12, 3), (13, 4)])
+def test_rfe_tie_break_keeps_earlier_duplicate_across_other_columns(seed, gap):
+    """Two bit-identical weak columns with strong ones between them: their
+    fitted coefficients differ only by float noise (about 1e-17), and the
+    earlier column must survive whichever way the noise falls."""
+    rng = np.random.default_rng(seed)
+    y = (rng.random(60) < 0.5).astype(float)
+    strong = rng.normal(size=(60, gap + 1)) + y[:, None]
+    dup = rng.normal(size=60) + 0.1 * y
+    X = np.column_stack([strong[:, 0], dup, *strong[:, 1:gap].T, dup, strong[:, gap]])
+    X = (X - X.mean(axis=0)) / X.std(axis=0, ddof=1)
+    names = [f"f{i}" for i in range(X.shape[1])]
+    later = names[gap + 1]
+    assert np.array_equal(X[:, 1], X[:, gap + 1])
+    coef = fit_logistic(X, y, lam=1.0)[0]
+    assert np.argmin(np.abs(coef)) in (1, gap + 1)
+    selected, _, _, _ = rfe(X, y, names, lam=1.0, k=X.shape[1] - 1)
+    assert selected == [n for n in names if n != later]
+
+
+def _cold_rfe(X, y, k, lam):
+    """Reference elimination: every refit starts from zero."""
+    active = list(range(X.shape[1]))
+    while len(active) > k:
+        magnitude = np.abs(fit_logistic(X[:, active], y, lam=lam)[0])
+        del active[int(np.flatnonzero(magnitude <= magnitude.min() * (1 + TIE_RTOL))[-1])]
+    coef, intercept, _ = fit_logistic(X[:, active], y, lam=lam)
+    return active, coef, intercept
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(30, 120), d=st.integers(2, 12),
+       k=st.integers(1, 12), lam=st.sampled_from([0.1, 1.0, 5.0]))
+def test_warm_rfe_matches_cold_elimination(seed, n, d, k, lam):
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, d))
+    truth = rng.normal(size=d)
+    y = (rng.random(n) < 1.0 / (1.0 + np.exp(-X @ truth))).astype(float)
+    y[:2] = [0.0, 1.0]
+    names = [f"f{i}" for i in range(d)]
+    selected, coef, intercept, _ = rfe(X, y, names, lam=lam, k=k)
+    active, ref_coef, ref_intercept = _cold_rfe(X, y, k, lam)
+    assert selected == [names[i] for i in active]
+    assert np.array_equal(coef, ref_coef)
+    assert intercept == ref_intercept
+
+
+def test_fit_started_at_its_optimum_takes_no_steps():
+    rng = np.random.default_rng(14)
+    X = rng.normal(size=(90, 5))
+    y = (X[:, 0] + rng.normal(size=90) > 0).astype(float)
+    coef, intercept, diag = fit_logistic(X, y, lam=1.0)
+    assert diag["iterations"] > 0
+    again, again_intercept, again_diag = fit_logistic(X, y, lam=1.0, start=(coef, intercept))
+    assert again_diag["iterations"] == 0 and again_diag["converged"]
+    assert np.array_equal(again, coef) and again_intercept == intercept
+
+
+def test_fit_rejects_start_of_wrong_width():
+    X = np.random.default_rng(15).normal(size=(10, 3))
+    y = np.array([0.0, 1.0] * 5)
+    with pytest.raises(ValueError):
+        fit_logistic(X, y, start=(np.zeros(2), 0.0))
 
 
 def test_rfe_recovers_informative_features():
