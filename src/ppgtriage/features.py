@@ -4,7 +4,9 @@ Three families:
 
 * MOR: per-beat pulse morphology (landmark timings, widths at fixed fractions
   of the pulse amplitude, amplitude ratios, acceleration-wave ratios, areas),
-  averaged over the beats of a window.
+  averaged over the beats of a window. mor_matrix computes every beat of a
+  window at once; each beat gets bitwise the values it gets alone
+  (mor_features_per_beat is the same kernel on one beat).
 * BRV: beat-rate variability statistics over the window's onset-to-onset
   interval series (named PP for peak-to-peak by convention; onsets are used
   because they are more robust to peak-shape change).
@@ -60,125 +62,135 @@ BRV_NAMES = [f.name for f in CATALOG if f.family == "BRV"]
 META_NAMES = [f.name for f in CATALOG if f.family == "META"]
 
 
-def _cross_before(y: np.ndarray, sp: int, level: float) -> float:
-    """Interpolated index of the last upward crossing of `level` before sp."""
-    below = np.flatnonzero(y[:sp + 1] <= level)
-    if len(below) == 0 or below[-1] >= sp:
-        return np.nan
-    i = int(below[-1])
-    return i + (level - y[i]) / (y[i + 1] - y[i])
+#: column of each MOR feature in a (beats x MOR) value matrix
+_MOR_COLUMN = {name: j for j, name in enumerate(MOR_NAMES)}
 
 
-def _cross_after(y: np.ndarray, sp: int, level: float) -> float:
-    """Interpolated index of the first downward crossing of `level` after sp."""
-    below = np.flatnonzero(y[sp:] <= level)
-    if len(below) == 0 or below[0] == 0:
-        return np.nan
-    j = sp + int(below[0])
-    return (j - 1) + (level - y[j - 1]) / (y[j] - y[j - 1])
+def mor_matrix(y: np.ndarray, lengths: np.ndarray, fs: float,
+               landmarks: dict[str, np.ndarray], d2: np.ndarray) -> np.ndarray:
+    """Morphology features of a batch of beats, one row per beat; NaN where a
+    landmark is absent.
+
+    y and d2 hold the beats and their second derivatives as rows padded past
+    each beat's length (fiducials.BeatBatch); landmarks holds one index array
+    per FiducialSet field, negative where absent. Areas sum over each beat's
+    own samples in np.trapezoid's order, so each row equals the beat computed
+    alone.
+    """
+    rows, cols = np.arange(len(y)), np.arange(y.shape[1])
+    out = np.full((len(y), len(MOR_NAMES)), np.nan)
+    lm = landmarks
+    at = {name: idx >= 0 for name, idx in lm.items()}
+    sp = lm["sp"]
+    ok = at["sp"]           # without a systolic peak only T_pi is defined
+
+    def put(name, mask, values):
+        out[mask, _MOR_COLUMN[name]] = values[mask]
+
+    def of(m, idx):         # each row's value of m at that row's index
+        return m[rows, idx]
+
+    t_pi = lengths / fs
+    out[:, _MOR_COLUMN["T_pi"]] = t_pi
+    for name in ("a", "b", "c", "d", "e", "sp", "dn", "dp", "u", "v", "w"):
+        put(f"T_{name}", ok & at[name], lm[name] / fs)
+    put("T_b-d", ok & at["b"] & at["d"], (lm["d"] - lm["b"]) / fs)
+    put("T_c-e", ok & at["c"] & at["e"], (lm["e"] - lm["c"]) / fs)
+    put("T_dia", ok & at["dn"], (lengths - lm["dn"]) / fs)
+
+    y0 = y[:, 0]
+    amp = of(y, sp) - y0
+    wide = ok & (amp > 0)
+    last = y.shape[1] - 1
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for frac in WIDTH_FRACTIONS:
+            pct = round(frac * 100)
+            level = y0 + frac * amp
+            below = y <= level[:, None]
+            # rise: the last sample at or below level up to sp, if before sp
+            up = below & (cols <= sp[:, None])
+            i = last - up[:, ::-1].argmax(axis=1)
+            i1 = np.minimum(i + 1, last)
+            rise = np.where(up.any(axis=1) & (i < sp),
+                            i + (level - of(y, i)) / (of(y, i1) - of(y, i)), np.nan)
+            # fall: the first sample at or below level from sp on, if after sp
+            down = below & (cols >= sp[:, None]) & (cols < lengths[:, None])
+            j = down.argmax(axis=1)
+            j0 = np.maximum(j - 1, 0)
+            fall = np.where(down.any(axis=1) & (j != sp),
+                            j0 + (level - of(y, j0)) / (of(y, j) - of(y, j0)), np.nan)
+            sw = (sp - rise) / fs
+            dw = (fall - sp) / fs
+            put(f"T_sw{pct}", wide, sw)
+            put(f"T_dw{pct}", wide, dw)
+            both = wide & np.isfinite(sw) & np.isfinite(dw)
+            put(f"T_dw{pct}/T_sw{pct}", both & (sw > 0), dw / sw)
+            put(f"T_pw{pct}/T_pi", both, (sw + dw) / t_pi)
+
+        peaks = wide & at["p1"] & at["p2"]
+        a_p1 = of(y, lm["p1"]) - y0
+        put("A_p2/A_p1", peaks & (a_p1 != 0), (of(y, lm["p2"]) - y0) / a_p1)
+        put("AI", peaks, (of(y, lm["p2"]) - of(y, lm["p1"])) / amp)
+        put("A_dn/A_sp", wide & at["dn"], (of(y, lm["dn"]) - y0) / amp)
+        put("A_dp/A_sp", wide & at["dp"], (of(y, lm["dp"]) - y0) / amp)
+        put("RS", wide & (sp > 0), amp / (sp / fs))
+
+        val_a = of(d2, lm["a"])
+        ratios = ok & at["a"] & (val_a != 0)
+        for name in ("b", "c", "d", "e"):
+            put(f"{name}/a", ratios & at[name], of(d2, lm[name]) / val_a)
+        put("AGI", ratios & at["b"] & at["c"] & at["d"] & at["e"],
+            (of(d2, lm["b"]) - of(d2, lm["c"]) - of(d2, lm["d"]) - of(d2, lm["e"])) / val_a)
+
+    # trapezoid terms as np.trapezoid forms them; each area sums its own slice
+    base = y - y0[:, None]
+    dx = 1.0 / fs
+    terms = dx * (base[:, 1:] + base[:, :-1]) / 2.0
+    for r in np.flatnonzero(ok):
+        n, dn = lengths[r], lm["dn"][r]
+        out[r, _MOR_COLUMN["A_pulse"]] = terms[r, :n - 1].sum()
+        if 0 < dn < n - 1:
+            a_sys, a_dia = terms[r, :dn].sum(), terms[r, dn:n - 1].sum()
+            out[r, _MOR_COLUMN["A_sys"]] = a_sys
+            out[r, _MOR_COLUMN["A_dia"]] = a_dia
+            if a_sys != 0:
+                out[r, _MOR_COLUMN["IPA"]] = a_dia / a_sys
+    return out
 
 
 def mor_features_per_beat(beat: np.ndarray, fs: float, fid: FiducialSet,
                           derivatives: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
                           ) -> dict[str, float]:
     """Morphology features for one beat; NaN where a landmark is absent."""
+    from .fiducials import ABSENT, smooth_derivatives
+
     y = np.asarray(beat, dtype=np.float64)
-    out = {name: np.nan for name in MOR_NAMES}
-    n = len(y)
-    out["T_pi"] = n / fs
-    if fid.sp is None:
-        return out
     if derivatives is None:
-        from .fiducials import smooth_derivatives
+        # only the landmarks of a located beat read the second derivative
+        d2 = smooth_derivatives(y, fs)[1] if fid.sp is not None else np.zeros_like(y)
+    else:
+        d2 = np.asarray(derivatives[1], dtype=np.float64)
+    landmarks = {name: np.array([ABSENT if idx is None else idx])
+                 for name, idx in fid.as_dict().items()}
+    row = mor_matrix(y[None], np.array([len(y)]), fs, landmarks, d2[None])[0]
+    return dict(zip(MOR_NAMES, row.tolist()))
 
-        derivatives = smooth_derivatives(y, fs)
-    d2 = derivatives[1]
 
-    def t_of(idx: int | None) -> float:
-        return np.nan if idx is None else idx / fs
-
-    out["T_a"] = t_of(fid.a)
-    out["T_b"] = t_of(fid.b)
-    out["T_c"] = t_of(fid.c)
-    out["T_d"] = t_of(fid.d)
-    out["T_e"] = t_of(fid.e)
-    if fid.b is not None and fid.d is not None:
-        out["T_b-d"] = (fid.d - fid.b) / fs
-    if fid.c is not None and fid.e is not None:
-        out["T_c-e"] = (fid.e - fid.c) / fs
-    out["T_sp"] = t_of(fid.sp)
-    out["T_dn"] = t_of(fid.dn)
-    out["T_dp"] = t_of(fid.dp)
-    if fid.dn is not None:
-        out["T_dia"] = (n - fid.dn) / fs
-    out["T_u"] = t_of(fid.u)
-    out["T_v"] = t_of(fid.v)
-    out["T_w"] = t_of(fid.w)
-
-    y0 = y[0]
-    amp = y[fid.sp] - y0
-    if amp > 0:
-        for frac in WIDTH_FRACTIONS:
-            pct = round(frac * 100)
-            level = y0 + frac * amp
-            rise = _cross_before(y, fid.sp, level)
-            fall = _cross_after(y, fid.sp, level)
-            sw = (fid.sp - rise) / fs
-            dw = (fall - fid.sp) / fs
-            out[f"T_sw{pct}"] = sw
-            out[f"T_dw{pct}"] = dw
-            if np.isfinite(sw) and np.isfinite(dw) and sw > 0:
-                out[f"T_dw{pct}/T_sw{pct}"] = dw / sw
-            if np.isfinite(sw) and np.isfinite(dw):
-                out[f"T_pw{pct}/T_pi"] = (sw + dw) / out["T_pi"]
-
-        if fid.p1 is not None and fid.p2 is not None:
-            a_p1 = y[fid.p1] - y0
-            a_p2 = y[fid.p2] - y0
-            if a_p1 != 0:
-                out["A_p2/A_p1"] = a_p2 / a_p1
-            out["AI"] = (y[fid.p2] - y[fid.p1]) / amp
-        if fid.dn is not None:
-            out["A_dn/A_sp"] = (y[fid.dn] - y0) / amp
-        if fid.dp is not None:
-            out["A_dp/A_sp"] = (y[fid.dp] - y0) / amp
-        if fid.sp > 0:
-            out["RS"] = amp / (fid.sp / fs)
-
-    if fid.a is not None and d2[fid.a] != 0:
-        val_a = d2[fid.a]
-        if fid.b is not None:
-            out["b/a"] = d2[fid.b] / val_a
-        if fid.c is not None:
-            out["c/a"] = d2[fid.c] / val_a
-        if fid.d is not None:
-            out["d/a"] = d2[fid.d] / val_a
-        if fid.e is not None:
-            out["e/a"] = d2[fid.e] / val_a
-        if all(idx is not None for idx in (fid.b, fid.c, fid.d, fid.e)):
-            out["AGI"] = (d2[fid.b] - d2[fid.c] - d2[fid.d] - d2[fid.e]) / val_a
-
-    base = y - y0
-    dx = 1.0 / fs
-    out["A_pulse"] = float(np.trapezoid(base, dx=dx))
-    if fid.dn is not None and 0 < fid.dn < n - 1:
-        a_sys = float(np.trapezoid(base[:fid.dn + 1], dx=dx))
-        a_dia = float(np.trapezoid(base[fid.dn:], dx=dx))
-        out["A_sys"] = a_sys
-        out["A_dia"] = a_dia
-        if a_sys != 0:
-            out["IPA"] = a_dia / a_sys
+def aggregate_mor(values: np.ndarray) -> dict[str, float]:
+    """Mean of each column of a (beats x MOR) matrix over its finite values;
+    NaN where it has none."""
+    out = {}
+    for name, column in zip(MOR_NAMES, values.T):
+        finite = column[np.isfinite(column)]
+        out[name] = float(finite.mean()) if len(finite) else np.nan
     return out
 
 
 def aggregate_window_mor(per_beat: list[dict[str, float]]) -> dict[str, float]:
     """Mean over the beats where each feature is present; NaN if absent on all."""
-    out = {}
-    for name in MOR_NAMES:
-        vals = np.array([row[name] for row in per_beat], dtype=np.float64)
-        finite = vals[np.isfinite(vals)]
-        out[name] = float(finite.mean()) if len(finite) else np.nan
-    return out
+    values = np.array([[row[name] for name in MOR_NAMES] for row in per_beat],
+                      dtype=np.float64)
+    return aggregate_mor(values.reshape(len(per_beat), len(MOR_NAMES)))
 
 
 def brv_features(intervals_s) -> dict[str, float]:

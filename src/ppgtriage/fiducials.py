@@ -1,4 +1,11 @@
-"""Beat detection and per-beat pulse landmark location.
+"""Beat detection and pulse landmark location.
+
+Beats are processed per window: the kept beats of a window form one BeatBatch
+(rows padded to the longest beat), which is smoothed, differentiated and
+searched for landmarks with one set of array operations. Every beat gets
+bitwise the result it gets on its own, so outputs do not depend on the
+batching; smooth_derivatives and locate_fiducials are that kernel on a batch of
+one beat.
 
 Landmarks per beat, all indices relative to the beat onset:
 
@@ -27,7 +34,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.ndimage import uniform_filter1d
-from scipy.signal import find_peaks
+from scipy.signal import find_peaks, peak_prominences
 
 from .errors import SignalTooShortError
 
@@ -84,6 +91,10 @@ class FiducialSet:
 
     def as_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
+
+
+#: the index that marks a landmark as not located in batch results
+ABSENT = -1
 
 
 def smooth_len(fs: float) -> int:
@@ -159,37 +170,168 @@ def detect_beats(x: np.ndarray, fs: float) -> list[BeatSpan]:
     return spans
 
 
+def _min_beat_len(fs: float) -> int:
+    return max(2, round(MIN_BEAT_S * fs))     # a derivative needs two samples
+
+
+@dataclass
+class BeatBatch:
+    """Beats as the rows of matrices padded to the longest beat.
+
+    Row i holds beat i in its first ``lengths[i]`` columns and repeats the
+    beat's last sample after them. Such padding changes no ``mode="nearest"``
+    smoothing value, peak-to-peak range or first argmax of the real columns,
+    so every real column of ``s`` (the smoothed beat) and ``d1``/``d2``/``d3``
+    equals what the beat gives on its own, bit for bit.
+    """
+
+    fs: float
+    y: np.ndarray
+    lengths: np.ndarray
+    s: np.ndarray
+    d1: np.ndarray
+    d2: np.ndarray
+    d3: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.lengths)
+
+
+def _derivative(f: np.ndarray, last: np.ndarray, fs: float) -> np.ndarray:
+    """np.gradient along each row, whose real samples end at column `last`,
+    times fs: central differences, one-sided at both row ends."""
+    g = np.empty_like(f)
+    g[:, 1:-1] = (f[:, 2:] - f[:, :-2]) / 2.0
+    g[:, 0] = f[:, 1] - f[:, 0]
+    rows = np.arange(len(f))
+    g[rows, last] = f[rows, last] - f[rows, last - 1]
+    return g * fs
+
+
+def beat_batch(beats: list[np.ndarray], fs: float) -> BeatBatch:
+    """Pad beats into a batch and differentiate all of them at once: moving-
+    average smoothing, then repeated central differences (one-sided at each
+    beat's ends). A beat below MIN_BEAT_S raises SignalTooShortError."""
+    lengths = np.array([len(beat) for beat in beats], dtype=np.intp)
+    short = lengths < _min_beat_len(fs)
+    if short.any():
+        raise SignalTooShortError(f"beat of {lengths[short][0]} samples is below the "
+                                  f"{MIN_BEAT_S}s minimum at fs={fs}")
+    starts = np.cumsum(lengths) - lengths
+    width = int(lengths.max(initial=2))
+    cols = np.minimum(np.arange(width), lengths[:, None] - 1)
+    flat = np.concatenate(beats).astype(np.float64) if len(beats) else np.empty(0)
+    y = flat[starts[:, None] + cols]
+    s = _smooth(y, fs)
+    last = lengths - 1
+    d1 = _derivative(s, last, fs)
+    d2 = _derivative(d1, last, fs)
+    return BeatBatch(fs, y, lengths, s, d1, d2, _derivative(d2, last, fs))
+
+
+def window_beats(samples: np.ndarray, spans: list[BeatSpan], fs: float) -> BeatBatch:
+    """The batch of a window's beats, leaving out beats below MIN_BEAT_S."""
+    keep = _min_beat_len(fs)
+    return beat_batch([samples[s.onset:s.next_onset] for s in spans if s.length >= keep], fs)
+
+
 def smooth_derivatives(beat: np.ndarray, fs: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """First, second, third derivatives of a beat: moving-average smoothing then
-    repeated central differences (one-sided at the endpoints)."""
-    beat = np.asarray(beat, dtype=np.float64)
-    if len(beat) < round(MIN_BEAT_S * fs):
-        raise SignalTooShortError(
-            f"beat of {len(beat)} samples is below the {MIN_BEAT_S}s minimum at fs={fs}")
-    s = _smooth(beat, fs)
-    d1 = np.gradient(s) * fs
-    d2 = np.gradient(d1) * fs
-    d3 = np.gradient(d2) * fs
-    return d1, d2, d3
+    """First, second, third derivatives of one beat (see beat_batch)."""
+    batch = beat_batch([np.asarray(beat, dtype=np.float64)], fs)
+    return batch.d1[0], batch.d2[0], batch.d3[0]
 
 
-def _candidate_maxima(y: np.ndarray, guard: int, floor_frac: float = EXTREMUM_FLOOR
-                      ) -> np.ndarray:
-    """Indices of significant local maxima of y (pass -y for minima): edge-guard
-    zone excluded, prominence at least floor_frac of the interior peak-to-peak
-    range."""
-    n = len(y)
-    if n - 2 * guard < 3:
-        return np.empty(0, dtype=int)
-    lo, hi = guard, n - guard
-    floor = floor_frac * np.ptp(y[lo:hi])
-    maxima, _ = find_peaks(y, prominence=floor)
-    return maxima[(maxima >= lo) & (maxima < hi)]
+def _candidate_maxima(y: np.ndarray, lengths: np.ndarray, guard: int) -> np.ndarray:
+    """Significant local maxima of each row of y (pass -y for minima), as a
+    boolean matrix: edge-guard zone excluded, prominence at least
+    EXTREMUM_FLOOR of the row's interior peak-to-peak range. A row shorter
+    than 2 * guard + 3 samples has none.
+
+    One find_peaks call covers every row: the rows are laid end to end, each
+    followed by a +inf separator. A separator stops the base search of every
+    peak at its row's edge, so each prominence is the one of the row alone.
+    Separators are themselves peaks, and their base searches would run back
+    to the start of the array, so they are dropped before peak_prominences.
+    """
+    n_rows, width = y.shape
+    cols = np.arange(width + 1)
+    interior = ((cols >= guard) & (cols < (lengths - guard)[:, None])
+                & (lengths - 2 * guard >= 3)[:, None])
+    inner = interior[:, :width]
+    floor = EXTREMUM_FLOOR * (np.where(inner, y, -np.inf).max(axis=1)
+                              - np.where(inner, y, np.inf).min(axis=1))
+    real = cols[:width] < lengths[:, None]
+    padded = np.full((n_rows, width + 1), np.inf)
+    padded[:, :width][real] = y[real]
+    flat = padded[cols <= lengths[:, None]]     # each row's samples, then its separator
+    starts = np.cumsum(lengths + 1) - (lengths + 1)
+    peaks, _ = find_peaks(flat)
+    row = np.searchsorted(starts, peaks, side="right") - 1
+    col = peaks - starts[row]
+    inside = interior[row, col]         # never a separator: its column is the row length
+    peaks, row, col = peaks[inside], row[inside], col[inside]
+    significant = peak_prominences(flat, peaks)[0] >= floor[row]
+    out = np.zeros((n_rows, width), dtype=bool)
+    out[row[significant], col[significant]] = True
+    return out
 
 
-def _first_after(indices: np.ndarray, pos: int) -> int | None:
-    after = indices[indices > pos]
-    return int(after[0]) if len(after) else None
+def _first_after(candidates: np.ndarray, pos: np.ndarray) -> np.ndarray:
+    """Per row, the first candidate column after pos; ABSENT where pos is
+    ABSENT or no candidate follows it."""
+    after = candidates & (np.arange(candidates.shape[1]) > pos[:, None])
+    first = after.argmax(axis=1)
+    return np.where((pos != ABSENT) & after.any(axis=1), first, ABSENT)
+
+
+def locate_batch(batch: BeatBatch) -> dict[str, np.ndarray]:
+    """Locate all landmarks on every beat of a batch.
+
+    Returns one int array per FiducialSet field, indices relative to each beat
+    onset and ABSENT where a landmark cannot be located. A flat beat, or one
+    whose second derivative has more than MAX_D2_EXTREMA significant extrema
+    (a pure-noise beat), has every landmark absent.
+    """
+    y, n, guard = batch.y, batch.lengths, edge_guard(batch.fs)
+    cols = np.arange(y.shape[1])
+    d2_max = _candidate_maxima(batch.d2, n, guard)
+    d2_min = _candidate_maxima(-batch.d2, n, guard)
+    located = (np.ptp(y, axis=1) > 0) & (d2_max.sum(axis=1) + d2_min.sum(axis=1)
+                                          <= MAX_D2_EXTREMA)
+    sp = np.where(located, y.argmax(axis=1), ABSENT)
+
+    a = _first_after(d2_max, np.where(located, 0, ABSENT))
+    b = _first_after(d2_min, a)
+    c = _first_after(d2_max, b)
+    d = _first_after(d2_min, c)
+    e = _first_after(d2_max, d)
+
+    # slope landmarks: u on the rising edge, v/w after the systolic peak
+    d1 = batch.d1
+    rising = (cols >= guard) & (cols <= sp[:, None])
+    u = np.where(sp > guard, np.where(rising, d1, -np.inf).argmax(axis=1), ABSENT)
+    tail = (cols > sp[:, None]) & (cols < (n - guard)[:, None]) & located[:, None]
+    v = np.where(tail.any(axis=1), np.where(tail, d1, np.inf).argmin(axis=1), ABSENT)
+    w = _first_after(_candidate_maxima(d1, n, guard), v)
+
+    # dicrotic notch: the pulse minimum nearest the e-point; when the pulse
+    # decays monotonically the notch merges into the acceleration e-wave
+    s = batch.s
+    s_max = np.zeros(s.shape, dtype=bool)
+    s_min = np.zeros(s.shape, dtype=bool)
+    s_max[:, 1:-1] = (s[:, 1:-1] > s[:, :-2]) & (s[:, 1:-1] > s[:, 2:])
+    s_min[:, 1:-1] = (s[:, 1:-1] < s[:, :-2]) & (s[:, 1:-1] < s[:, 2:])
+    notch = s_min & tail
+    nearest = np.where(notch, np.abs(cols - e[:, None]), y.shape[1]).argmin(axis=1)
+    dn = np.where(e != ABSENT, nearest, notch.argmax(axis=1))
+    dn = np.where(notch.any(axis=1), dn, np.where((e != ABSENT) & (e > sp), e, ABSENT))
+    dp = _first_after(s_max & (cols < (n - guard)[:, None]), dn)
+
+    # early/late systolic peaks on the pulse wave
+    p1 = _first_after(_candidate_maxima(batch.d3, n, guard), b)
+    p1 = np.where((d == ABSENT) | (p1 <= d), p1, ABSENT)
+    return {"sp": sp, "dn": dn, "dp": dp, "a": a, "b": b, "c": c, "d": d, "e": e,
+            "u": u, "v": v, "w": w, "p1": p1, "p2": d}
 
 
 def locate_fiducials(beat: np.ndarray, fs: float,
@@ -202,62 +344,9 @@ def locate_fiducials(beat: np.ndarray, fs: float,
     """
     beat = np.asarray(beat, dtype=np.float64)
     if derivatives is None:
-        derivatives = smooth_derivatives(beat, fs)
-    d1, d2, d3 = derivatives
-    guard = edge_guard(fs)
-    fid = FiducialSet()
-    if np.ptp(beat) == 0:
-        return fid
-
-    d2_max, d2_min = _candidate_maxima(d2, guard), _candidate_maxima(-d2, guard)
-    if len(d2_max) + len(d2_min) > MAX_D2_EXTREMA:
-        return fid      # structureless (noise) beat: report nothing
-
-    fid.sp = int(np.argmax(beat))
-
-    fid.a = _first_after(d2_max, 0)
-    if fid.a is not None:
-        fid.b = _first_after(d2_min, fid.a)
-    if fid.b is not None:
-        fid.c = _first_after(d2_max, fid.b)
-    if fid.c is not None:
-        fid.d = _first_after(d2_min, fid.c)
-    if fid.d is not None:
-        fid.e = _first_after(d2_max, fid.d)
-
-    # slope landmarks: u on the rising edge, v/w after the systolic peak
-    if fid.sp > guard:
-        fid.u = guard + int(np.argmax(d1[guard:fid.sp + 1]))
-    tail_lo, tail_hi = fid.sp + 1, len(beat) - guard
-    if tail_hi - tail_lo > 0:
-        fid.v = tail_lo + int(np.argmin(d1[tail_lo:tail_hi]))
-        d1_max = _candidate_maxima(d1, guard)
-        fid.w = _first_after(d1_max, fid.v)
-
-    # dicrotic notch: the pulse minimum nearest the e-point; when the pulse
-    # decays monotonically the notch merges into the acceleration e-wave
-    s = _smooth(beat, fs)
-    s_max = np.flatnonzero((s[1:-1] > s[:-2]) & (s[1:-1] > s[2:])) + 1
-    s_min = np.flatnonzero((s[1:-1] < s[:-2]) & (s[1:-1] < s[2:])) + 1
-    notch_cands = s_min[(s_min > fid.sp) & (s_min < len(beat) - guard)]
-    if len(notch_cands):
-        if fid.e is not None:
-            fid.dn = int(notch_cands[np.argmin(np.abs(notch_cands - fid.e))])
-        else:
-            fid.dn = int(notch_cands[0])
-    elif fid.e is not None and fid.e > fid.sp:
-        fid.dn = fid.e
-    if fid.dn is not None:
-        dp_cands = s_max[(s_max > fid.dn) & (s_max < len(beat) - guard)]
-        if len(dp_cands):
-            fid.dp = int(dp_cands[0])
-
-    # early/late systolic peaks on the pulse wave
-    if fid.d is not None:
-        fid.p2 = fid.d
-    if fid.b is not None:
-        d3_max = _candidate_maxima(d3, guard)
-        p1 = _first_after(d3_max, fid.b)
-        if p1 is not None and (fid.p2 is None or p1 <= fid.p2):
-            fid.p1 = p1
-    return fid
+        batch = beat_batch([beat], fs)
+    else:
+        batch = BeatBatch(fs, beat[None], np.array([len(beat)]), _smooth(beat, fs)[None],
+                          *(np.asarray(d, dtype=np.float64)[None] for d in derivatives))
+    return FiducialSet(**{name: None if idx[0] == ABSENT else int(idx[0])
+                          for name, idx in locate_batch(batch).items()})

@@ -15,17 +15,25 @@ import numpy as np
 
 from .config import RunConfig
 from .errors import SignalTooShortError
-from .features import (MOR_NAMES, FeatureMatrix, aggregate_window_mor, assemble_matrix,
-                       brv_features, meta_features, mor_features_per_beat)
-from .fiducials import detect_beats, locate_fiducials, smooth_derivatives
+from .features import (FeatureMatrix, aggregate_mor, aggregate_window_mor, assemble_matrix,
+                       brv_features, meta_features, mor_features_per_beat, mor_matrix)
+from .fiducials import (detect_beats, locate_batch, locate_fiducials, smooth_derivatives,
+                        window_beats)
 from .io import Recording, load_manifest, load_recording, write_samples
 from .preprocess import compute_sqi, design_bandpass, filter_recording, segment_windows
 from .synth import synth_cohort_to_dir, synth_recording
 from .utils import pmap
 
 # write_samples, synth_recording and synth_cohort_to_dir are re-exported for
-# callers and instrumentation that look them up here. The synth-to-disk code
-# lives in `synth`, which imports no scipy, so `ppgtriage synth` never loads it.
+# callers and instrumentation that look them up here, as are the per-beat
+# smooth_derivatives, locate_fiducials, mor_features_per_beat and
+# aggregate_window_mor, which extraction no longer calls: it runs their window
+# kernels (window_beats, locate_batch, mor_matrix, aggregate_mor) instead. The
+# synth-to-disk code lives in `synth`, which imports no scipy, so `ppgtriage
+# synth` never loads it.
+
+#: screening-entry reason of a recording too short to filter
+TOO_SHORT = "too_short"
 
 WindowRow = tuple[str, int, dict]
 
@@ -34,10 +42,15 @@ def process_recording(recording: Recording, config: RunConfig
                       ) -> tuple[list[WindowRow], dict]:
     """Filter one recording, screen its windows, and extract features for the
     kept ones. Returns (feature rows, screening entry); each row carries the
-    window's MOR, BRV and META values."""
+    window's MOR, BRV and META values. A recording too short to filter gives
+    no rows and an entry with no windows and "reason": "too_short"."""
     design = design_bandpass(recording.fs, config.band_low_hz, config.band_high_hz,
                              config.filter_order)
-    filtered = filter_recording(recording, design)
+    try:
+        filtered = filter_recording(recording, design)
+    except SignalTooShortError:
+        return [], {"patient_id": recording.patient_id, "n_windows": 0, "kept": 0,
+                    "windows": [], "reason": TOO_SHORT}
     windows = segment_windows(filtered, config.window_s)
     meta = meta_features(recording)
     rows: list[WindowRow] = []
@@ -57,18 +70,11 @@ def process_recording(recording: Recording, config: RunConfig
         })
         if not sqi.kept:
             continue
-        per_beat = []
-        intervals = []
-        for span in spans:
-            beat = window.samples[span.onset:span.next_onset]
-            intervals.append(span.length / window.fs)
-            try:
-                derivatives = smooth_derivatives(beat, window.fs)
-            except SignalTooShortError:
-                continue
-            fid = locate_fiducials(beat, window.fs, derivatives)
-            per_beat.append(mor_features_per_beat(beat, window.fs, fid, derivatives))
-        values = aggregate_window_mor(per_beat) if per_beat else {n: np.nan for n in MOR_NAMES}
+        # every beat of the window at once; beats below MIN_BEAT_S are left out
+        batch = window_beats(window.samples, spans, window.fs)
+        values = aggregate_mor(mor_matrix(batch.y, batch.lengths, batch.fs,
+                                          locate_batch(batch), batch.d2))
+        intervals = [span.length / window.fs for span in spans]
         values.update(brv_features(intervals))
         values.update(meta)
         rows.append((window.patient_id, window.window_index, values))

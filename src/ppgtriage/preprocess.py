@@ -15,6 +15,7 @@ correlated against the window's mean beat).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy import signal as sps
@@ -39,9 +40,14 @@ REJECT_AMPLITUDE_MODULATION = "amplitude_modulation"
 REJECT_LOW_CORRELATION = "low_correlation"
 
 
-@dataclass
+@dataclass(frozen=True)
 class FilterDesign:
-    """Stable second-order-section cascade plus its padding requirement."""
+    """Stable second-order-section cascade plus its padding requirement.
+
+    design_bandpass hands one design to every caller with the same (fs, band,
+    order), so a design is immutable, its read-only `sos` included. scipy's
+    sosfilt takes only a writable cascade: pass it `design.sos.copy()`.
+    """
 
     fs: float
     band: tuple[float, float]
@@ -76,12 +82,14 @@ class Window:
     samples: np.ndarray
 
 
+@lru_cache(maxsize=64)
 def design_bandpass(fs: float, low: float = DEFAULT_BAND[0], high: float = DEFAULT_BAND[1],
                     order: int = DEFAULT_ORDER) -> FilterDesign:
     """Design the Butterworth bandpass for a given sampling rate.
 
     `order` is the overall filter order (must be even: a bandpass of order 2N
-    comes from an N-th order prototype).
+    comes from an N-th order prototype). Designs are cached: repeated calls
+    with the same arguments return the same FilterDesign object.
     """
     if order < 2 or order % 2:
         raise ConfigError(f"filter order must be even and >= 2, got {order}")
@@ -95,8 +103,9 @@ def design_bandpass(fs: float, low: float = DEFAULT_BAND[0], high: float = DEFAU
         poles = np.roots(section[3:])
         if np.any(np.abs(poles) >= 1.0):
             raise ConfigError(f"unstable filter design for fs={fs}, band ({low}, {high})")
-    return FilterDesign(fs=fs, band=(low, high), order=order, sos=sos,
-                        settle_len=_settle_length(sos, fs))
+    settle_len = _settle_length(sos, fs)
+    sos.setflags(write=False)
+    return FilterDesign(fs=fs, band=(low, high), order=order, sos=sos, settle_len=settle_len)
 
 
 def _settle_length(sos: np.ndarray, fs: float) -> int:
@@ -121,7 +130,7 @@ def zero_phase_filter(samples: np.ndarray, design: FilterDesign) -> np.ndarray:
     if len(samples) <= design.pad_len:
         raise SignalTooShortError(
             f"need more than {design.pad_len} samples to filter, got {len(samples)}")
-    return sps.sosfiltfilt(design.sos, samples, padtype="even", padlen=design.pad_len)
+    return sps.sosfiltfilt(design.sos.copy(), samples, padtype="even", padlen=design.pad_len)
 
 
 def filter_recording(recording: Recording, design: FilterDesign | None = None,

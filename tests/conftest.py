@@ -3,6 +3,7 @@ import pytest
 
 from ppgtriage.config import RunConfig
 from ppgtriage.features import FEATURE_FAMILIES, FEATURE_NAMES, FeatureMatrix
+from ppgtriage.fiducials import MIN_BEAT_S, BeatSpan
 from ppgtriage.pipeline import extract_matrix
 from ppgtriage.synth import BeatModel, separated_cohort_spec, synth_beat, synth_cohort
 
@@ -35,6 +36,41 @@ def random_beat_model(rng) -> BeatModel:
         diastolic_center=sc + rng.uniform(0.20, 0.27),
         diastolic_width=rng.uniform(0.050, 0.065),
     )
+
+
+#: beat kinds of beat_train
+BEAT_KINDS = ("pulse", "flat", "noise", "short")
+
+
+def beat_train(fs: float, kinds, seed: int) -> tuple[np.ndarray, list[BeatSpan]]:
+    """A window made of consecutive beats of the given kinds, with their spans.
+
+    "pulse" is a two-Gaussian beat, "flat" a constant, "noise" white noise (at
+    250 Hz and up, more second-derivative extrema than MAX_D2_EXTREMA allows)
+    and "short" a pulse below MIN_BEAT_S. Lengths are drawn from `seed`; at
+    20 Hz some beats are too short for the edge-guard zone.
+    """
+    rng = np.random.default_rng(seed)
+    min_len = round(MIN_BEAT_S * fs)
+    beats = []
+    for kind in kinds:
+        if kind == "short":
+            n = int(rng.integers(2, max(3, min_len)))
+        else:
+            n = int(rng.integers(min_len, round(1.3 * fs) + 1))
+        if kind == "flat":
+            beats.append(np.full(n, rng.normal()))
+        elif kind == "noise":
+            beats.append(rng.normal(size=n))
+        else:
+            t = np.arange(n) / fs
+            beats.append(synth_beat(random_beat_model(rng), t * (0.85 / (n / fs))))
+    spans, onset = [], 0
+    for beat in beats:
+        spans.append(BeatSpan(onset=onset, next_onset=onset + len(beat),
+                              systolic_peak=onset + int(np.argmax(beat[:-1]))))
+        onset += len(beat)
+    return np.concatenate(beats), spans
 
 
 def synthetic_feature_matrix(n_pos=12, n_neg=18, windows=4, seed=0, shift=1.5,

@@ -44,7 +44,8 @@ def test_criterion_01_filter_conformance():
     n = 2 ** 18
     from scipy.signal import sosfilt
 
-    h = sosfilt(design.sos, np.concatenate([[1.0], np.zeros(n - 1)]))
+    # the shared design is read-only, and scipy's sosfilt takes a writable cascade
+    h = sosfilt(design.sos.copy(), np.concatenate([[1.0], np.zeros(n - 1)]))
     spectrum = np.fft.rfft(h)
     grid = np.fft.rfftfreq(n, d=1.0 / FS)
 

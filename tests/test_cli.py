@@ -263,3 +263,24 @@ def test_evaluate_malformed_config_is_config_error(extracted_dir, tmp_path, caps
                  "--config", str(cfg), "--out", str(tmp_path / "x")])
     assert code == 2
     assert capsys.readouterr().err.startswith("error[config]:")
+
+
+def test_extract_short_recording_gets_a_verdict_and_the_cohort_goes_on(cohort_dir, tmp_path):
+    manifest = json.loads((cohort_dir / "manifest.json").read_text())
+    entries = manifest["entries"][:3]
+    short = entries[2]
+    samples = (cohort_dir / short["sample_file"]).read_text().splitlines()[:1000]
+    (tmp_path / short["sample_file"]).write_text("\n".join(samples) + "\n")
+    for entry in entries[:2]:
+        (tmp_path / entry["sample_file"]).write_bytes(
+            (cohort_dir / entry["sample_file"]).read_bytes())
+    _write(tmp_path / "manifest.json", {"entries": entries})
+    out = tmp_path / "out"
+    assert main(["extract", "--manifest", str(tmp_path / "manifest.json"), "--out", str(out),
+                 "--workers", "1"]) == 0
+    matrix = FeatureMatrix.from_csv(out / "features.csv")
+    assert set(matrix.patient_ids) == {e["patient_id"] for e in entries[:2]}
+    screening = json.loads((out / "screening.json").read_text())
+    verdicts = {r["patient_id"]: r.get("reason") for r in screening["recordings"]}
+    assert verdicts == {entries[0]["patient_id"]: None, entries[1]["patient_id"]: None,
+                        short["patient_id"]: "too_short"}

@@ -1,15 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ppgtriage.errors import DataError
 from ppgtriage.features import (BRV_NAMES, CATALOG, FEATURE_NAMES, META_NAMES, MOR_NAMES,
-                                FeatureMatrix, aggregate_window_mor, assemble_matrix,
-                                brv_features, meta_features, mor_features_per_beat)
-from ppgtriage.fiducials import locate_fiducials, smooth_derivatives
+                                FeatureMatrix, aggregate_mor, aggregate_window_mor,
+                                assemble_matrix, brv_features, meta_features,
+                                mor_features_per_beat, mor_matrix)
+from ppgtriage.fiducials import locate_batch, locate_fiducials, smooth_derivatives, window_beats
 from ppgtriage.io import Recording
 from ppgtriage.synth import BeatModel
 
-from .conftest import make_beat, random_beat_model
+from .conftest import BEAT_KINDS, beat_train, make_beat, random_beat_model
 from .oracles import (chain_abcde, poincare_reference, rmssd_reference, sdpp_reference)
 from ppgtriage.fiducials import EXTREMUM_FLOOR, MAX_D2_EXTREMA, edge_guard
 
@@ -240,3 +243,30 @@ def test_matrix_csv_rejects_unknown_feature(tmp_path):
     path.write_text("patient_id,window_index,label,NOT_A_FEATURE\nP0,0,1,1.0\n")
     with pytest.raises(DataError, match="unknown features"):
         FeatureMatrix.from_csv(path)
+
+
+@settings(max_examples=60, deadline=None)
+@given(fs=st.sampled_from([20.0, 250.0, 1000.0]),
+       kinds=st.lists(st.sampled_from(BEAT_KINDS), min_size=1, max_size=6),
+       seed=st.integers(0, 2**32 - 1))
+@example(fs=1000.0, kinds=["pulse", "noise", "flat", "short", "pulse"], seed=3)
+@example(fs=20.0, kinds=["pulse", "short", "flat", "noise"], seed=4)
+@example(fs=250.0, kinds=["pulse"], seed=5)
+def test_window_mor_equals_each_beat_alone(fs, kinds, seed):
+    """Each row of the window's MOR matrix is bitwise the beat's own per-beat
+    values, NaN in the same places, and the window mean is the mean of the
+    per-beat dicts."""
+    samples, spans = beat_train(fs, kinds, seed)
+    batch = window_beats(samples, spans, fs)
+    values = mor_matrix(batch.y, batch.lengths, fs, locate_batch(batch), batch.d2)
+    assert values.shape == (len(batch), len(MOR_NAMES))
+    per_beat = []
+    for i, n in enumerate(batch.lengths):
+        beat = batch.y[i, :n]
+        alone = mor_features_per_beat(beat, fs, locate_fiducials(beat, fs))
+        assert np.array(list(alone.values())).tobytes() == values[i].tobytes()
+        per_beat.append(alone)
+    window = aggregate_mor(values)
+    expected = aggregate_window_mor(per_beat)
+    assert np.array(list(window.values())).tobytes() == \
+           np.array(list(expected.values())).tobytes()

@@ -2,16 +2,18 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ppgtriage import fiducials
 from ppgtriage.errors import SignalTooShortError
-from ppgtriage.fiducials import (EXTREMUM_FLOOR, MAX_D2_EXTREMA, _moving_quantile, detect_beats,
-                                 edge_guard, locate_fiducials, smooth_derivatives)
+from ppgtriage.fiducials import (ABSENT, EXTREMUM_FLOOR, MAX_D2_EXTREMA, MIN_BEAT_S,
+                                 _moving_quantile, beat_batch, detect_beats, edge_guard,
+                                 locate_batch, locate_fiducials, smooth_derivatives,
+                                 window_beats)
 from ppgtriage.synth import BeatModel, ClassParams, CohortSpec, synth_beat, synth_recording
 
-from .conftest import make_beat, random_beat_model
+from .conftest import BEAT_KINDS, beat_train, make_beat, random_beat_model
 from .oracles import chain_abcde
 
 FS = 1000.0
@@ -172,3 +174,53 @@ def test_batched_moving_quantile_matches_per_centre_bitwise(x, fs, q, win_s, str
     with mock.patch.object(fiducials, "QUANTILE_BLOCK", block):
         got = _moving_quantile(x, fs, q, win_s, stride_s)
     assert got.tobytes() == expected.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(fs=st.sampled_from([20.0, 250.0, 1000.0]),
+       kinds=st.lists(st.sampled_from(BEAT_KINDS), min_size=1, max_size=6),
+       seed=st.integers(0, 2**32 - 1))
+@example(fs=1000.0, kinds=["pulse", "noise", "flat", "short", "pulse"], seed=3)
+@example(fs=20.0, kinds=["pulse", "short", "flat", "noise"], seed=4)
+@example(fs=250.0, kinds=["pulse"], seed=5)
+def test_window_kernel_equals_each_beat_alone(fs, kinds, seed):
+    """Every beat of a window batch gets bitwise the derivatives and the
+    landmarks it gets alone; beats below MIN_BEAT_S are left out."""
+    samples, spans = beat_train(fs, kinds, seed)
+    batch = window_beats(samples, spans, fs)
+    beats = [samples[s.onset:s.next_onset] for s in spans
+             if s.length >= round(MIN_BEAT_S * fs)]
+    assert list(batch.lengths) == [len(b) for b in beats]
+    landmarks = locate_batch(batch)
+    for i, beat in enumerate(beats):
+        n = len(beat)
+        alone = smooth_derivatives(beat, fs)
+        for batched, single in zip((batch.d1, batch.d2, batch.d3), alone):
+            assert batched[i, :n].tobytes() == single.tobytes()
+        assert batch.y[i, :n].tobytes() == beat.tobytes()
+        got = {name: None if idx[i] == ABSENT else int(idx[i])
+               for name, idx in landmarks.items()}
+        assert got == locate_fiducials(beat, fs).as_dict()
+        assert got == locate_fiducials(beat, fs, alone).as_dict()
+
+
+def test_window_kernel_meets_each_edge_case():
+    # the cases the property draws, each shown to occur: a flat beat and a
+    # noise beat get no landmark, a beat shorter than the guard zone gets no
+    # candidate extremum, a beat below MIN_BEAT_S is left out
+    samples, spans = beat_train(1000.0, ["pulse", "noise", "flat", "short"], 3)
+    batch = window_beats(samples, spans, 1000.0)
+    landmarks = locate_batch(batch)
+    assert len(batch) == 3
+    assert landmarks["sp"][0] != ABSENT and landmarks["sp"][1] == landmarks["sp"][2] == ABSENT
+    fs = 20.0
+    guard = edge_guard(fs)
+    beat = np.sin(np.linspace(0.0, np.pi, 2 * guard + 2))
+    assert len(beat) >= round(MIN_BEAT_S * fs)
+    fid = locate_fiducials(beat, fs)
+    assert fid.sp is not None and all(getattr(fid, k) is None for k in "abcde")
+
+
+def test_beat_batch_rejects_a_beat_below_the_minimum():
+    with pytest.raises(SignalTooShortError):
+        beat_batch([np.zeros(400), np.zeros(200)], FS)

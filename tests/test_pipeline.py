@@ -6,6 +6,7 @@ from ppgtriage.errors import DataError
 from ppgtriage.evaluate import run_experiment
 from ppgtriage.io import Recording, write_cohort
 from ppgtriage.pipeline import extract_cohort, extract_matrix, process_recording
+from ppgtriage.preprocess import design_bandpass
 from ppgtriage.synth import (CohortSpec, matched_cohort_spec, separated_cohort_spec,
                              synth_cohort, synth_recording)
 
@@ -37,6 +38,29 @@ def test_extract_matrix_rejects_non_finite_sample(workers):
     pid = recordings[1].patient_id
     with pytest.raises(DataError, match=f"'{pid}': non-finite sample at index 4321"):
         extract_matrix(recordings, RunConfig(), workers=workers)
+
+
+def test_recording_too_short_to_filter_gets_a_verdict():
+    pad = design_bandpass(1000.0).pad_len
+    rec = Recording("P0", 1000.0, np.sin(np.arange(pad) / 100.0), "NL")
+    rows, screening = process_recording(rec, RunConfig())
+    assert rows == []
+    assert screening == {"patient_id": "P0", "n_windows": 0, "kept": 0, "windows": [],
+                         "reason": "too_short"}
+
+
+def test_short_recording_does_not_abort_the_cohort():
+    spec = separated_cohort_spec(n_positive=1, n_negative=1, duration_s=65.0, seed=1)
+    recordings = synth_cohort(spec)
+    short = Recording("NL-9999", 1000.0, recordings[1].samples[:5000].copy(), "NL")
+    matrix, screening = extract_matrix(recordings + [short], RunConfig(), workers=1)
+    alone, alone_screening = extract_matrix(recordings, RunConfig(), workers=1)
+    assert matrix.patient_ids == alone.patient_ids
+    assert np.array_equal(matrix.values, alone.values, equal_nan=True)
+    assert screening["recordings"][:2] == alone_screening["recordings"]
+    assert screening["recordings"][2]["reason"] == "too_short"
+    assert {k: screening[k] for k in ("windows_total", "kept", "excluded")} == \
+           {k: alone_screening[k] for k in ("windows_total", "kept", "excluded")}
 
 
 def test_all_noise_recording_gives_no_rows():

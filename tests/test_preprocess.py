@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -35,7 +37,8 @@ def _impulse_response_db(design, freqs):
     from scipy.signal import sosfilt
 
     n = 2 ** 18
-    h = sosfilt(design.sos, np.concatenate([[1.0], np.zeros(n - 1)]))
+    # the shared design is read-only, and scipy's sosfilt takes a writable cascade
+    h = sosfilt(design.sos.copy(), np.concatenate([[1.0], np.zeros(n - 1)]))
     spectrum = np.fft.rfft(h)
     grid = np.fft.rfftfreq(n, d=1.0 / design.fs)
     idx = [int(np.argmin(np.abs(grid - f))) for f in freqs]
@@ -105,6 +108,16 @@ def test_forward_backward_symmetry(design):
     assert np.allclose(direct, reversed_route, atol=1e-6)
     pad = design.pad_len
     assert np.allclose(direct[pad:-pad], reversed_route[pad:-pad], atol=1e-9)
+
+
+def test_design_is_shared_and_read_only():
+    first = design_bandpass(250.0, 0.5, 12.0, 4)
+    assert design_bandpass(250.0, 0.5, 12.0, 4) is first
+    with pytest.raises(ValueError):
+        first.sos[0, 0] = 2.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        first.settle_len = 1
+    assert design_bandpass(500.0, 0.5, 12.0, 4) is not first
 
 
 def test_filter_rejects_short_input(design):
