@@ -14,6 +14,9 @@ VALID_METRIC_LEVELS = ("window", "patient", "both")
 
 @dataclass
 class RunConfig:
+    """Every run parameter, its default and its range check: stage keyword
+    defaults read these class attributes, and entry points call `validate`."""
+
     band_low_hz: float = 0.5
     band_high_hz: float = 12.0
     filter_order: int = 4
@@ -51,6 +54,8 @@ class RunConfig:
             raise ConfigError("rfe_k must be >= 1")
         if self.lam < 0:
             raise ConfigError("lambda must be >= 0")
+        if self.seed is not None and self.seed < 0:
+            raise ConfigError("seed must be >= 0")
         for family in self.families:
             if family not in VALID_FAMILIES:
                 raise ConfigError(f"unknown family '{family}'")

@@ -21,7 +21,7 @@ from functools import partial
 
 import numpy as np
 
-from .config import VALID_FAMILIES, VALID_METRIC_LEVELS
+from .config import RunConfig
 from .errors import ConfigError, DataError, EvaluationError
 from .features import CATALOG, FeatureMatrix
 from .model import predict_proba, train_model
@@ -43,8 +43,9 @@ class SplitPlan:
     iterations: list[dict]      # {"train": tuple[str, ...], "test": tuple[str, ...]}
 
 
-def plan_splits(labels_by_patient: dict[str, int], train_fraction: float = 2 / 3,
-                n_iter: int = 100, seed: int = 0) -> SplitPlan:
+def plan_splits(labels_by_patient: dict[str, int],
+                train_fraction: float = RunConfig.train_fraction,
+                n_iter: int = RunConfig.n_iter, seed: int = 0) -> SplitPlan:
     """Stratified patient splits: per class, test receives ceil((1-frac)*count).
 
     Deterministic for a fixed seed; each iteration shuffles with its own
@@ -400,18 +401,18 @@ class EvalReport:
                 if f in self.families]
 
 
-def run_experiment(matrix: FeatureMatrix, *, n_iter: int = 100, train_fraction: float = 2 / 3,
-                   lam: float = 1.0, rfe_k: int = 10, seed: int = 0,
-                   families: tuple[str, ...] = VALID_FAMILIES,
-                   metric_level: str = "both", screening: dict | None = None,
-                   workers: int | None = 1) -> EvalReport:
-    """Run the full repeated-split protocol over the requested feature families."""
-    if metric_level not in VALID_METRIC_LEVELS:
-        raise ConfigError(f"metric_level must be one of {VALID_METRIC_LEVELS}, "
-                          f"got '{metric_level}'")
-    for family in families:
-        if family not in VALID_FAMILIES:
-            raise ConfigError(f"unknown family '{family}'")
+def run_experiment(matrix: FeatureMatrix, *, n_iter: int = RunConfig.n_iter,
+                   train_fraction: float = RunConfig.train_fraction,
+                   lam: float = RunConfig.lam, rfe_k: int = RunConfig.rfe_k, seed: int = 0,
+                   families: tuple[str, ...] = RunConfig.families,
+                   metric_level: str = RunConfig.metric_level,
+                   screening: dict | None = None, workers: int | None = 1) -> EvalReport:
+    """Run the full repeated-split protocol over the requested feature families;
+    a parameter that breaks a RunConfig rule raises ConfigError."""
+    if seed is None:
+        raise ConfigError("a seed is required")
+    RunConfig(n_iter=n_iter, train_fraction=train_fraction, lam=lam, rfe_k=rfe_k, seed=seed,
+              families=tuple(families), metric_level=metric_level, workers=workers).validate()
     if matrix.n_rows == 0:
         raise EvaluationError("feature matrix has no rows")
     by_patient = labels_by_patient(matrix)

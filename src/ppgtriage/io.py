@@ -9,6 +9,8 @@ features are all time-based or amplitude-ratio-based, so absolute units cancel.
 from __future__ import annotations
 
 import json
+import numbers
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -22,6 +24,25 @@ SEXES = ("male", "female", "unknown")
 #: Binary classes: LVO is the positive class, NL and SM together the negative.
 POSITIVE = 1
 NEGATIVE = 0
+
+
+def _positive_number(value) -> bool:
+    """A number above zero that a float holds finitely; booleans are not numbers."""
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and 0 < value <= sys.float_info.max)
+
+
+def _check_metadata(where: str, fs, label, sex, age) -> None:
+    """Raise DataError, prefixed by `where`, for a recording's first bad
+    fs, label, sex or age (None is a valid age)."""
+    if not _positive_number(fs):
+        raise DataError(f"{where}: fs must be a positive number, got {fs!r}")
+    if label not in LABELS:
+        raise DataError(f"{where}: unknown label {label!r}")
+    if sex not in SEXES:
+        raise DataError(f"{where}: unknown sex {sex!r}")
+    if age is not None and not _positive_number(age):
+        raise DataError(f"{where}: age must be a positive number or null, got {age!r}")
 
 
 @dataclass
@@ -42,14 +63,7 @@ class Recording:
     def validate(self) -> None:
         if not self.patient_id:
             raise DataError("recording has empty patient_id")
-        if not (np.isfinite(self.fs) and self.fs > 0):
-            raise DataError(f"patient '{self.patient_id}': fs must be positive, got {self.fs}")
-        if self.label not in LABELS:
-            raise DataError(f"patient '{self.patient_id}': unknown label '{self.label}'")
-        if self.sex not in SEXES:
-            raise DataError(f"patient '{self.patient_id}': unknown sex '{self.sex}'")
-        if self.age is not None and not (np.isfinite(self.age) and self.age > 0):
-            raise DataError(f"patient '{self.patient_id}': age must be positive, got {self.age}")
+        _check_metadata(f"patient '{self.patient_id}'", self.fs, self.label, self.sex, self.age)
         if len(self.samples) < 1:
             raise DataError(f"patient '{self.patient_id}': empty sample sequence")
         if not np.all(np.isfinite(self.samples)):
@@ -112,18 +126,9 @@ def load_manifest(path: Path | str) -> list[dict]:
         sample_file = entry.get("sample_file")
         if not isinstance(sample_file, str) or not sample_file:
             raise bad(f"patient '{pid}': missing sample_file")
-        fs = entry.get("fs")
-        if not isinstance(fs, (int, float)) or not np.isfinite(fs) or fs <= 0:
-            raise bad(f"patient '{pid}': fs must be a positive number, got {fs!r}")
-        label = entry.get("label")
-        if label not in LABELS:
-            raise bad(f"patient '{pid}': unknown label {label!r}")
-        age = entry.get("age")
-        if age is not None and (not isinstance(age, (int, float)) or not np.isfinite(age) or age <= 0):
-            raise bad(f"patient '{pid}': age must be a positive number or null, got {age!r}")
+        fs, label, age = entry.get("fs"), entry.get("label"), entry.get("age")
         sex = entry.get("sex", "unknown")
-        if sex not in SEXES:
-            raise bad(f"patient '{pid}': unknown sex {sex!r}")
+        _check_metadata(f"manifest entry {i}: patient '{pid}'", fs, label, sex, age)
         out.append({
             "patient_id": pid,
             "sample_file": sample_file,
@@ -163,30 +168,33 @@ def load_cohort(manifest_path: Path | str) -> list[Recording]:
     return recordings
 
 
-def write_cohort(recordings: list[Recording], out_dir: Path | str,
-                 manifest_name: str = "manifest.json") -> Path:
+def write_recording(recording: Recording, out_dir: Path | str) -> dict:
+    """Write a recording's samples to `<patient_id>.txt` in out_dir and return
+    its manifest entry."""
+    sample_file = f"{recording.patient_id}.txt"
+    write_samples(Path(out_dir) / sample_file, recording.samples)
+    return {"patient_id": recording.patient_id, "sample_file": sample_file,
+            "fs": recording.fs, "label": recording.label, "age": recording.age,
+            "sex": recording.sex}
+
+
+def write_manifest(entries: list[dict], out_dir: Path | str) -> Path:
+    """Write `entries` to out_dir/manifest.json; returns its path."""
+    manifest_path = Path(out_dir) / "manifest.json"
+    manifest_path.write_text(json.dumps({"entries": entries}, indent=2) + "\n")
+    return manifest_path
+
+
+def write_cohort(recordings: list[Recording], out_dir: Path | str) -> Path:
     """Write recordings + manifest into out_dir; returns the manifest path.
 
     Sample files round-trip exactly: load(write(samples)) == samples bit for bit.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    entries = []
     for rec in recordings:
         rec.validate()
-        fname = f"{rec.patient_id}.txt"
-        write_samples(out_dir / fname, rec.samples)
-        entries.append({
-            "patient_id": rec.patient_id,
-            "sample_file": fname,
-            "fs": rec.fs,
-            "label": rec.label,
-            "age": rec.age,
-            "sex": rec.sex,
-        })
-    manifest_path = out_dir / manifest_name
-    manifest_path.write_text(json.dumps({"entries": entries}, indent=2) + "\n")
-    return manifest_path
+    return write_manifest([write_recording(rec, out_dir) for rec in recordings], out_dir)
 
 
 def write_report(report, path: Path | str) -> None:

@@ -21,10 +21,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import RunConfig
 from .errors import DataError, EvaluationError
 
-DEFAULT_LAMBDA = 1.0
-DEFAULT_RFE_K = 10
 GRAD_TOL = 1e-6
 TIE_RTOL = 1e-7
 MAX_ITER = 10_000
@@ -97,7 +96,7 @@ def _loss_grad_proba(coef: np.ndarray, intercept: float, X: np.ndarray, y: np.nd
     return loss, grad_coef, grad_intercept, p
 
 
-def fit_logistic(X: np.ndarray, y: np.ndarray, lam: float = DEFAULT_LAMBDA,
+def fit_logistic(X: np.ndarray, y: np.ndarray, lam: float = RunConfig.lam,
                  tol: float = GRAD_TOL, max_iter: int = MAX_ITER, *,
                  start: tuple[np.ndarray, float] | None = None
                  ) -> tuple[np.ndarray, float, dict]:
@@ -183,7 +182,7 @@ class LogisticModel:
 
 
 def rfe(X: np.ndarray, y: np.ndarray, feature_names: list[str],
-        lam: float = DEFAULT_LAMBDA, k: int = DEFAULT_RFE_K
+        lam: float = RunConfig.lam, k: int = RunConfig.rfe_k
         ) -> tuple[list[str], np.ndarray, float, dict]:
     """Recursive feature elimination on standardized columns down to k features.
 
@@ -208,7 +207,7 @@ def rfe(X: np.ndarray, y: np.ndarray, feature_names: list[str],
 
 
 def train_model(X: np.ndarray, y: np.ndarray, feature_names: list[str],
-                lam: float = DEFAULT_LAMBDA, k: int = DEFAULT_RFE_K) -> LogisticModel:
+                lam: float = RunConfig.lam, k: int = RunConfig.rfe_k) -> LogisticModel:
     """Standardize on the given training rows, eliminate to k features, refit."""
     standardizer = fit_standardizer(X, feature_names)
     Xs = standardizer.apply(X)

@@ -112,7 +112,9 @@ def _extract(items: list, load, labels: dict[str, str], config: RunConfig | None
              workers: int | None) -> tuple[FeatureMatrix, dict]:
     """Process `load(item)` for every item, then assemble the matrix and the
     screening log; `labels` maps each patient id to its class label."""
-    worker = partial(_load_and_process, load=load, config=config or RunConfig())
+    config = config or RunConfig()
+    config.validate()
+    worker = partial(_load_and_process, load=load, config=config)
     results = pmap(worker, items, workers=workers)
     rows = [row for result in results for row in result[0]]
     screening = _screening_log([result[1] for result in results])
@@ -126,15 +128,16 @@ def _validated(recording: Recording) -> Recording:
 
 def extract_matrix(recordings: list[Recording], config: RunConfig | None = None,
                    workers: int | None = 1) -> tuple[FeatureMatrix, dict]:
-    """Extract the labeled feature matrix from in-memory recordings; each one
-    is validated first, so a non-finite sample raises DataError."""
+    """Extract the labeled feature matrix from in-memory recordings. A bad
+    config raises ConfigError, and a non-finite sample DataError."""
     labels = {rec.patient_id: rec.label for rec in recordings}
     return _extract(recordings, _validated, labels, config, workers)
 
 
 def extract_cohort(manifest_path: Path | str, config: RunConfig | None = None,
                    workers: int | None = 1) -> tuple[FeatureMatrix, dict]:
-    """Extract features for a cohort on disk; workers load their own recordings."""
+    """Extract features for a cohort on disk; workers load their own
+    recordings. A bad config raises ConfigError."""
     manifest_path = Path(manifest_path)
     entries = load_manifest(manifest_path)
     labels = {entry["patient_id"]: entry["label"] for entry in entries}

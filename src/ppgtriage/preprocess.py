@@ -20,17 +20,11 @@ from functools import lru_cache
 import numpy as np
 from scipy import signal as sps
 
+from .config import RunConfig
 from .errors import ConfigError, SignalTooShortError
 from .fiducials import BeatSpan, detect_beats
 from .io import Recording
 
-DEFAULT_BAND = (0.5, 12.0)
-DEFAULT_ORDER = 4
-DEFAULT_WINDOW_S = 30.0
-
-DEFAULT_SQI_THRESHOLD = 0.8
-DEFAULT_AM_THRESHOLD = 3.0
-DEFAULT_MIN_BEATS = 12
 TEMPLATE_LEN = 100
 
 KEPT = "kept"
@@ -83,8 +77,9 @@ class Window:
 
 
 @lru_cache(maxsize=64)
-def design_bandpass(fs: float, low: float = DEFAULT_BAND[0], high: float = DEFAULT_BAND[1],
-                    order: int = DEFAULT_ORDER) -> FilterDesign:
+def design_bandpass(fs: float, low: float = RunConfig.band_low_hz,
+                    high: float = RunConfig.band_high_hz,
+                    order: int = RunConfig.filter_order) -> FilterDesign:
     """Design the Butterworth bandpass for a given sampling rate.
 
     `order` is the overall filter order (must be even: a bandpass of order 2N
@@ -133,18 +128,14 @@ def zero_phase_filter(samples: np.ndarray, design: FilterDesign) -> np.ndarray:
     return sps.sosfiltfilt(design.sos.copy(), samples, padtype="even", padlen=design.pad_len)
 
 
-def filter_recording(recording: Recording, design: FilterDesign | None = None,
-                     low: float = DEFAULT_BAND[0], high: float = DEFAULT_BAND[1],
-                     order: int = DEFAULT_ORDER) -> Recording:
+def filter_recording(recording: Recording, design: FilterDesign) -> Recording:
     """Return a copy of the recording with bandpass-filtered samples."""
-    if design is None:
-        design = design_bandpass(recording.fs, low, high, order)
     filtered = zero_phase_filter(recording.samples, design)
     return Recording(patient_id=recording.patient_id, fs=recording.fs, samples=filtered,
                      label=recording.label, age=recording.age, sex=recording.sex)
 
 
-def segment_windows(recording: Recording, window_s: float = DEFAULT_WINDOW_S) -> list[Window]:
+def segment_windows(recording: Recording, window_s: float = RunConfig.window_s) -> list[Window]:
     """Split a recording into contiguous non-overlapping windows of
     round(window_s * fs) samples; a trailing partial segment is discarded."""
     n = round(window_s * recording.fs)
@@ -174,14 +165,15 @@ def _template_correlations(x: np.ndarray, spans: list[BeatSpan]) -> np.ndarray:
 
 
 def compute_sqi(window: Window, spans: list[BeatSpan] | None = None,
-                sqi_threshold: float = DEFAULT_SQI_THRESHOLD,
-                am_threshold: float = DEFAULT_AM_THRESHOLD,
-                min_beats: int = DEFAULT_MIN_BEATS) -> SqiResult:
+                sqi_threshold: float = RunConfig.sqi_threshold,
+                am_threshold: float = RunConfig.am_threshold,
+                min_beats: int = RunConfig.min_beats) -> SqiResult:
     """Score one filtered window and decide whether it is usable.
 
     Checks are applied in a fixed order and the first failure names the
     rejection reason: flatline, too few beats, amplitude modulation, then
-    template correlation.
+    template correlation. A window with no detected beat has too few beats
+    whatever `min_beats` is.
     """
     x = np.asarray(window.samples, dtype=np.float64)
     if len(x) == 0 or np.ptp(x) == 0:
@@ -189,7 +181,7 @@ def compute_sqi(window: Window, spans: list[BeatSpan] | None = None,
                          verdict=REJECT_FLATLINE)
     if spans is None:
         spans = detect_beats(x, window.fs)
-    if len(spans) < min_beats:
+    if not spans or len(spans) < min_beats:
         return SqiResult(score=None, amplitude_modulation_ratio=None, n_beats=len(spans),
                          verdict=REJECT_TOO_FEW_BEATS)
 

@@ -13,7 +13,6 @@ so parallel generation is deterministic regardless of schedule.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field, asdict
 from functools import partial
@@ -229,19 +228,10 @@ def synth_cohort(spec: CohortSpec) -> list[Recording]:
 def _synth_and_write(task: tuple, out_dir: str) -> dict:
     spec, label, index = task
     patient_id = f"{label}-{index:04d}"
-    # both names are looked up through their modules at call time, so
-    # instrumentation that replaces the module attributes sees every call
-    recording = synth_recording(spec, label, patient_id, stream=index)
-    fname = f"{patient_id}.txt"
-    io.write_samples(Path(out_dir) / fname, recording.samples)
-    return {
-        "patient_id": patient_id,
-        "sample_file": fname,
-        "fs": recording.fs,
-        "label": recording.label,
-        "age": recording.age,
-        "sex": recording.sex,
-    }
+    # synth_recording, and io.write_samples inside io.write_recording, are
+    # looked up through their modules at call time, so instrumentation that
+    # replaces the module attributes sees every call
+    return io.write_recording(synth_recording(spec, label, patient_id, stream=index), out_dir)
 
 
 def synth_cohort_to_dir(spec: CohortSpec, out_dir: Path | str,
@@ -252,9 +242,7 @@ def synth_cohort_to_dir(spec: CohortSpec, out_dir: Path | str,
     out_dir.mkdir(parents=True, exist_ok=True)
     tasks = [(spec, label, idx) for idx, label in enumerate(cohort_labels(spec))]
     entries = pmap(partial(_synth_and_write, out_dir=str(out_dir)), tasks, workers=workers)
-    manifest_path = out_dir / "manifest.json"
-    manifest_path.write_text(json.dumps({"entries": entries}, indent=2) + "\n")
-    return manifest_path
+    return io.write_manifest(entries, out_dir)
 
 
 def separated_cohort_spec(n_positive: int = 25, n_negative: int = 61,

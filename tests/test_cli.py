@@ -1,10 +1,12 @@
 import json
 import re
 
+import numpy as np
 import pytest
 
 from ppgtriage.cli import main
 from ppgtriage.features import FeatureMatrix
+from ppgtriage.io import write_samples
 
 TINY_SPEC = {
     "n_positive": 2, "n_negative": 3, "duration_s": 65.0, "fs": 500.0,
@@ -252,7 +254,8 @@ def test_extract_zero_length_window_is_config_error(cohort_dir, tmp_path, capsys
     assert err.startswith("error[config]:") and "window_s" in err
 
 
-@pytest.mark.parametrize("doc", [{"seed": 1, "n_iter": 2.7}, {"seed": True}, "\udcff"])
+@pytest.mark.parametrize("doc", [{"seed": 1, "n_iter": 2.7}, {"seed": True}, "\udcff",
+                                 {"seed": -1}])
 def test_evaluate_malformed_config_is_config_error(extracted_dir, tmp_path, capsys, doc):
     cfg = tmp_path / "cfg.json"
     if isinstance(doc, str):
@@ -284,3 +287,27 @@ def test_extract_short_recording_gets_a_verdict_and_the_cohort_goes_on(cohort_di
     verdicts = {r["patient_id"]: r.get("reason") for r in screening["recordings"]}
     assert verdicts == {entries[0]["patient_id"]: None, entries[1]["patient_id"]: None,
                         short["patient_id"]: "too_short"}
+
+
+def test_extract_beatless_window_with_min_beats_zero_is_too_few_beats(tmp_path):
+    fs = 250.0
+    samples = np.sin(2 * np.pi * 0.05 * np.arange(int(65 * fs)) / fs)
+    write_samples(tmp_path / "P0.txt", samples)
+    manifest = _write(tmp_path / "manifest.json", {"entries": [
+        {"patient_id": "P0", "sample_file": "P0.txt", "fs": fs, "label": "LVO"}]})
+    cfg = _write(tmp_path / "cfg.json", {"min_beats": 0})
+    out = tmp_path / "out"
+    assert main(["extract", "--manifest", manifest, "--config", cfg, "--out", str(out),
+                 "--workers", "1"]) == 0
+    windows = json.loads((out / "screening.json").read_text())["recordings"][0]["windows"]
+    assert {"verdict": "too_few_beats", "n_beats": 0} in [
+        {"verdict": w["verdict"], "n_beats": w["n_beats"]} for w in windows]
+
+
+def test_evaluate_negative_seed_flag_is_config_error(extracted_dir, tmp_path, capsys):
+    code = main(["evaluate", "--matrix", str(extracted_dir / "features.csv"),
+                 "--seed", "-1", "--out", str(tmp_path / "x")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error[config]:") and "seed" in err
+    assert err.count("\n") == 1

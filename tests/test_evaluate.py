@@ -1,9 +1,11 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ppgtriage.errors import DataError, EvaluationError
+from ppgtriage.errors import ConfigError, DataError, EvaluationError
 from ppgtriage.evaluate import (auroc, choose_threshold, confusion_metrics, export_distributions,
                                 labels_by_patient, plan_splits, roc_on_grid, run_experiment,
                                 shuffle_patient_labels)
@@ -345,3 +347,15 @@ def test_auroc_matches_rankdata_formula_exactly(scores, data):
     ranks = rankdata(np.array(scores))
     expected = float((ranks[labels == 1].sum() - n1 * (n1 + 1) / 2.0) / (n1 * n0))
     assert auroc(scores, labels) == expected
+
+
+@pytest.mark.parametrize("bad", [{"n_iter": 0}, {"rfe_k": 0}, {"lam": -1.0}, {"families": ()},
+                                 {"metric_level": "x"}, {"seed": -1}, {"seed": None}],
+                         ids=lambda bad: "-".join(f"{k}={v}" for k, v in bad.items()))
+def test_run_experiment_rejects_what_the_config_rejects(bad):
+    matrix = synthetic_feature_matrix(n_pos=4, n_neg=6, windows=4, seed=30)
+    assert matrix.n_rows == 40
+    start = time.perf_counter()
+    with pytest.raises(ConfigError):
+        run_experiment(matrix, **{"n_iter": 2, "seed": 1, **bad})
+    assert time.perf_counter() - start < 1.0

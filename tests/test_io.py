@@ -134,3 +134,25 @@ def test_report_summary_row_field_names(tmp_path):
     expected = {"family", "sensitivity", "specificity", "precision", "f1",
                 "auroc_median", "auroc_p25", "auroc_p75"}
     assert set(report.summary_rows()[0]) == expected
+
+
+@pytest.mark.parametrize("key, value", [("fs", True), ("age", True), ("age", False),
+                                        ("fs", 10**400), ("age", float("nan"))],
+                         ids=["fs-true", "age-true", "age-false", "fs-huge", "age-nan"])
+def test_manifest_rejects_a_non_number_before_loading_samples(tmp_path, key, value):
+    manifest = write_cohort([_recording("A", n=3), _recording("B", n=3, seed=1)], tmp_path)
+    doc = json.loads(manifest.read_text())
+    doc["entries"][1][key] = value
+    manifest.write_text(json.dumps(doc))
+    (tmp_path / "A.txt").unlink()       # fails before any sample file is read
+    with pytest.raises(DataError, match=f"manifest entry 1: patient 'B': {key} must be"):
+        load_cohort(manifest)
+
+
+@pytest.mark.parametrize("key, value", [("fs", True), ("age", True), ("fs", 0.0),
+                                        ("label", "X"), ("sex", "?")])
+def test_recording_validate_applies_the_manifest_rules(key, value):
+    recording = _recording("A", n=3)
+    setattr(recording, key, value)
+    with pytest.raises(DataError, match=f"patient 'A': .*{key}"):
+        recording.validate()

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ppgtriage.config import RunConfig
-from ppgtriage.errors import DataError
+from ppgtriage.errors import ConfigError, DataError
 from ppgtriage.evaluate import run_experiment
 from ppgtriage.io import Recording, write_cohort
 from ppgtriage.pipeline import extract_cohort, extract_matrix, process_recording
@@ -158,3 +158,11 @@ def test_screening_log_reasons_accumulate():
     assert screening["kept"] == 2
     assert sum(screening["excluded_by_reason"].values()) == 2
     assert matrix.n_rows == 2
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("config", [RunConfig(min_beats=-1), RunConfig(sqi_threshold=5.0)],
+                         ids=["min_beats=-1", "sqi_threshold=5.0"])
+def test_extract_matrix_rejects_a_bad_config(small_cohort, config, workers):
+    with pytest.raises(ConfigError):
+        extract_matrix(small_cohort, config, workers=workers)

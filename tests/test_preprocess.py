@@ -227,3 +227,11 @@ def test_noise_never_raises_score_statistically(clean_window):
             if b <= a + 1e-12:
                 holds += 1
     assert holds / comparisons >= 0.95
+
+
+def test_beatless_window_has_too_few_beats_even_at_min_beats_zero():
+    t = np.arange(30000) / FS
+    window = Window("P0", 0, FS, np.sin(2 * np.pi * 0.05 * t))
+    sqi = compute_sqi(window, spans=[], min_beats=0)
+    assert sqi.verdict == REJECT_TOO_FEW_BEATS
+    assert sqi.n_beats == 0 and sqi.score is None

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from ppgtriage import pipeline
 from ppgtriage.errors import ConfigError
 from ppgtriage.fiducials import detect_beats
+from ppgtriage.io import write_cohort
 from ppgtriage.synth import (BeatModel, ClassParams, CohortSpec, _ar1, _draw_periods,
                              cohort_labels, matched_cohort_spec, separated_cohort_spec,
                              spec_from_dict, synth_beat, synth_cohort, synth_cohort_to_dir,
@@ -207,3 +208,13 @@ def test_preset_specs_validate():
     matched_cohort_spec(n_positive=2, n_negative=2).validate()
     spec = matched_cohort_spec()
     assert spec.positive == spec.negative
+
+
+def test_write_cohort_writes_what_synth_to_dir_writes(tmp_path):
+    spec = CohortSpec(n_positive=2, n_negative=2, duration_s=2.0, fs=100.0, seed=8)
+    synth_cohort_to_dir(spec, tmp_path / "a", workers=1)
+    write_cohort(synth_cohort(spec), tmp_path / "b")
+    names = sorted(p.name for p in (tmp_path / "a").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "b").iterdir())
+    for name in names:
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
