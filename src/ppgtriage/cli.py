@@ -19,6 +19,7 @@ from .evaluate import run_experiment
 from .features import FeatureMatrix
 from .io import write_report
 from .synth import spec_from_dict, synth_cohort_to_dir
+from .utils import single_thread_blas
 
 
 # The extract stage loads scipy, which `synth` and `evaluate` never need, so it
@@ -187,6 +188,11 @@ def cmd_evaluate(args) -> int:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if args.command == "extract":
+        from . import pipeline  # noqa: F401  (scipy brings its own OpenBLAS)
+    # Pool workers already run one BLAS thread each; the CLI's own process
+    # does too, once every library the stage uses is loaded.
+    single_thread_blas()
     try:
         if args.command == "synth":
             return cmd_synth(args)

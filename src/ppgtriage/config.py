@@ -56,6 +56,9 @@ class RunConfig:
             raise ConfigError("lambda must be >= 0")
         if self.seed is not None and self.seed < 0:
             raise ConfigError("seed must be >= 0")
+        if isinstance(self.families, str):
+            raise ConfigError("families must be a sequence of family names, "
+                              f"not the string {self.families!r}")
         for family in self.families:
             if family not in VALID_FAMILIES:
                 raise ConfigError(f"unknown family '{family}'")

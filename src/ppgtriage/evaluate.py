@@ -10,6 +10,13 @@ threshold-based metrics with the operating point chosen on training data
 
 Scores are also averaged per patient (a patient's score is the mean of their
 kept-window probabilities) and the same metric set is emitted at that level.
+
+Splits are fitted as stacks. Each pool task takes one contiguous chunk of
+splits (one chunk per worker, cut smaller only to keep a stack within
+STACK_ELEMENTS), and per family the chunk's splits with equal training row
+counts go to `train_model` as one stack, which groups them further by the
+columns their standardizers keep. Prediction and metrics stay per split, and
+every split's result is bit-identical to training that split alone.
 """
 
 from __future__ import annotations
@@ -25,11 +32,13 @@ from .config import RunConfig
 from .errors import ConfigError, DataError, EvaluationError
 from .features import CATALOG, FeatureMatrix
 from .model import predict_proba, train_model
-from .utils import pmap
+from .utils import pmap, resolve_workers
 
 ROC_GRID_POINTS = 101
 DISTRIBUTION_BINS = 30
 TOP_FEATURES = 5
+#: most elements (splits x rows x columns) in one stack of training rows (2 MB of float64)
+STACK_ELEMENTS = 1 << 18
 
 _CATALOG_POSITION = {f.name: i for i, f in enumerate(CATALOG)}
 
@@ -51,8 +60,9 @@ def plan_splits(labels_by_patient: dict[str, int],
     Deterministic for a fixed seed; each iteration shuffles with its own
     substream so iterations can be evaluated in any order.
     """
-    if not (0.0 < train_fraction < 1.0):
-        raise ConfigError(f"train_fraction must be in (0, 1), got {train_fraction}")
+    if seed is None:
+        raise ConfigError("a seed is required")
+    RunConfig(train_fraction=train_fraction, n_iter=n_iter, seed=seed).validate()
     by_class = {
         cls: sorted(pid for pid, lab in labels_by_patient.items() if lab == cls)
         for cls in (1, 0)
@@ -226,49 +236,57 @@ def _metrics_block(scores: np.ndarray, labels: np.ndarray,
     return block
 
 
-def _evaluate_iteration(iteration: dict, matrix: FeatureMatrix, families: tuple[str, ...],
-                        lam: float, rfe_k: int, metric_level: str) -> dict:
+def _evaluate_splits(iterations: list[dict], matrix: FeatureMatrix,
+                     families: tuple[str, ...], lam: float, rfe_k: int,
+                     metric_level: str) -> list[dict]:
+    """Per-family results of a chunk of splits. In each family the splits with
+    the same number of training rows train as one stack; prediction and
+    metrics stay per split."""
     grid = np.linspace(0.0, 1.0, ROC_GRID_POINTS)
     pid_arr = np.array(matrix.patient_ids)
-    in_train = np.isin(pid_arr, iteration["train"])
-    in_test = np.isin(pid_arr, iteration["test"])
-    out: dict[str, dict] = {}
+    members = [(np.isin(pid_arr, it["train"]), np.isin(pid_arr, it["test"]))
+               for it in iterations]
+    out: list[dict[str, dict]] = [{} for _ in iterations]
     for family in families:
         cols = matrix.family_columns(family)
         names = [matrix.feature_names[c] for c in cols]
         X = matrix.values[:, cols]
         finite = np.all(np.isfinite(X), axis=1)
-        tr = in_train & finite
-        te = in_test & finite
-        result: dict = {
-            "n_train_rows": int(tr.sum()),
-            "n_test_rows": int(te.sum()),
-            "dropped_train_rows": int((in_train & ~finite).sum()),
-            "dropped_test_rows": int((in_test & ~finite).sum()),
-            "degenerate": None,
-        }
-        ytr = matrix.labels[tr]
-        yte = matrix.labels[te]
-        if tr.sum() < 2 or len(np.unique(ytr)) < 2:
-            result["degenerate"] = "train_single_class"
-        elif te.sum() < 1 or len(np.unique(yte)) < 2:
-            result["degenerate"] = "test_single_class"
-        if result["degenerate"] is not None:
-            out[family] = result
-            continue
+        by_rows: dict[int, list] = {}
+        for results, (in_train, in_test) in zip(out, members):
+            tr = in_train & finite
+            te = in_test & finite
+            result: dict = {
+                "n_train_rows": int(tr.sum()),
+                "n_test_rows": int(te.sum()),
+                "dropped_train_rows": int((in_train & ~finite).sum()),
+                "dropped_test_rows": int((in_test & ~finite).sum()),
+                "degenerate": None,
+            }
+            results[family] = result
+            if tr.sum() < 2 or len(np.unique(matrix.labels[tr])) < 2:
+                result["degenerate"] = "train_single_class"
+            elif te.sum() < 1 or len(np.unique(matrix.labels[te])) < 2:
+                result["degenerate"] = "test_single_class"
+            else:
+                by_rows.setdefault(result["n_train_rows"], []).append((result, tr, te))
 
-        fitted = train_model(X[tr], ytr, names, lam=lam, k=rfe_k)
-        result["selected_features"] = list(fitted.feature_names)
-        result["converged"] = bool(fitted.diagnostics.get("converged", False))
-        proba_tr = predict_proba(fitted, X[tr])
-        proba_te = predict_proba(fitted, X[te])
-
-        if metric_level in ("window", "both"):
-            result["window"] = _metrics_block(proba_te, yte, proba_tr, ytr, grid)
-        if metric_level in ("patient", "both"):
-            result["patient"] = _patient_block(pid_arr[te], proba_te, yte,
-                                               pid_arr[tr], proba_tr, ytr, grid)
-        out[family] = result
+        for group in by_rows.values():
+            models = train_model(np.stack([X[tr] for _, tr, _ in group]),
+                                 np.stack([matrix.labels[tr] for _, tr, _ in group]),
+                                 names, lam=lam, k=rfe_k)
+            for (result, tr, te), fitted in zip(group, models):
+                ytr = matrix.labels[tr]
+                yte = matrix.labels[te]
+                result["selected_features"] = list(fitted.feature_names)
+                result["converged"] = bool(fitted.diagnostics.get("converged", False))
+                proba_tr = predict_proba(fitted, X[tr])
+                proba_te = predict_proba(fitted, X[te])
+                if metric_level in ("window", "both"):
+                    result["window"] = _metrics_block(proba_te, yte, proba_tr, ytr, grid)
+                if metric_level in ("patient", "both"):
+                    result["patient"] = _patient_block(pid_arr[te], proba_te, yte,
+                                                       pid_arr[tr], proba_tr, ytr, grid)
     return out
 
 
@@ -411,16 +429,24 @@ def run_experiment(matrix: FeatureMatrix, *, n_iter: int = RunConfig.n_iter,
     a parameter that breaks a RunConfig rule raises ConfigError."""
     if seed is None:
         raise ConfigError("a seed is required")
+    families = families if isinstance(families, str) else tuple(families)
     RunConfig(n_iter=n_iter, train_fraction=train_fraction, lam=lam, rfe_k=rfe_k, seed=seed,
-              families=tuple(families), metric_level=metric_level, workers=workers).validate()
+              families=families, metric_level=metric_level, workers=workers).validate()
     if matrix.n_rows == 0:
         raise EvaluationError("feature matrix has no rows")
     by_patient = labels_by_patient(matrix)
     plan = plan_splits(by_patient, train_fraction=train_fraction, n_iter=n_iter, seed=seed)
 
-    worker = partial(_evaluate_iteration, matrix=matrix, families=tuple(families),
+    # One contiguous chunk of splits per worker, cut further only so that a
+    # family's stacked training rows stay within STACK_ELEMENTS.
+    per_split = matrix.n_rows * max(len(matrix.family_columns(f)) for f in families)
+    size = max(1, min(math.ceil(n_iter / resolve_workers(workers)),
+                      STACK_ELEMENTS // max(per_split, 1)))
+    chunks = [plan.iterations[i:i + size] for i in range(0, n_iter, size)]
+    worker = partial(_evaluate_splits, matrix=matrix, families=families,
                      lam=lam, rfe_k=rfe_k, metric_level=metric_level)
-    iteration_results = pmap(worker, plan.iterations, workers=workers)
+    iteration_results = [res for chunk in pmap(worker, chunks, workers=workers)
+                         for res in chunk]
 
     primary_level = "patient" if metric_level == "patient" else "window"
     family_blocks: dict[str, dict] = {}

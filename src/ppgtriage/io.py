@@ -20,6 +20,8 @@ from .errors import DataError
 
 LABELS = ("LVO", "NL", "SM")
 SEXES = ("male", "female", "unknown")
+#: samples per text chunk that write_samples joins and writes at once
+SAMPLE_CHUNK = 1 << 16
 
 #: Binary classes: LVO is the positive class, NL and SM together the negative.
 POSITIVE = 1
@@ -91,9 +93,15 @@ def load_samples(path: Path | str) -> np.ndarray:
 
 
 def write_samples(path: Path | str, samples: np.ndarray) -> None:
-    """Write amplitudes one per line, using shortest exact float representation."""
+    """Write amplitudes one per line, using shortest exact float representation.
+
+    The text is built and written SAMPLE_CHUNK samples at a time, so a long
+    recording never holds all of it in memory; no samples write one empty line.
+    """
     arr = np.asarray(samples, dtype=np.float64)
-    Path(path).write_text("\n".join(map(repr, arr.tolist())) + "\n")
+    with open(path, "w") as fh:
+        for start in range(0, max(len(arr), 1), SAMPLE_CHUNK):
+            fh.write("\n".join(map(repr, arr[start:start + SAMPLE_CHUNK].tolist())) + "\n")
 
 
 def load_manifest(path: Path | str) -> list[dict]:

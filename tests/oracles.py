@@ -145,3 +145,83 @@ def band_power(x, fs, f_lo, f_hi):
     freqs = np.fft.rfftfreq(len(x), d=1.0 / fs)
     mask = (freqs >= f_lo) & (freqs <= f_hi)
     return float(np.sum(np.abs(spectrum[mask]) ** 2))
+
+
+def _logistic_terms(coef, intercept, X, y, lam):
+    """Loss, gradient and probabilities of one problem, 2-D arithmetic."""
+    n = X.shape[0]
+    z = X @ coef + intercept
+    loss = float(np.mean(np.logaddexp(0.0, z) - y * z) + 0.5 * lam * coef @ coef)
+    p = np.empty_like(z)
+    pos = z >= 0
+    p[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    p[~pos] = ez / (1.0 + ez)
+    residual = p - y
+    return loss, X.T @ residual / n + lam * coef, float(residual.mean()), p
+
+
+def newton_fit_reference(X, y, lam, start=None, tol=1e-6, max_iter=10_000):
+    """One problem's damped Newton fit, written as a plain 2-D loop: Newton
+    direction (or -grad when the Hessian is singular or the direction points
+    uphill), Armijo backtracking with up to 60 halvings, and convergence at
+    gradient 2-norm <= tol. Returns (coef, intercept, diagnostics)."""
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    n, d = X.shape
+    coef = np.zeros(d) if start is None else np.array(start[0], dtype=np.float64)
+    intercept = 0.0 if start is None else float(start[1])
+    loss, grad_coef, grad_int, p = _logistic_terms(coef, intercept, X, y, lam)
+    converged = False
+    iterations = 0
+    for iterations in range(1, max_iter + 1):
+        grad = np.concatenate([grad_coef, [grad_int]])
+        if float(np.linalg.norm(grad)) <= tol:
+            converged = True
+            iterations -= 1
+            break
+        w = p * (1.0 - p) / n
+        Xw = X * w[:, None]
+        H = np.empty((d + 1, d + 1))
+        H[:d, :d] = X.T @ Xw
+        H[:d, :d][np.diag_indices(d)] += lam
+        H[:d, d] = Xw.sum(axis=0)
+        H[d, :d] = H[:d, d]
+        H[d, d] = w.sum()
+        try:
+            direction = -np.linalg.solve(H, grad)
+        except np.linalg.LinAlgError:
+            direction = -grad
+        slope = float(grad @ direction)
+        if slope >= 0:
+            direction = -grad
+            slope = float(grad @ direction)
+        step = 1.0
+        for _ in range(60):
+            new_coef = coef + step * direction[:d]
+            new_intercept = intercept + step * direction[d]
+            new = _logistic_terms(new_coef, new_intercept, X, y, lam)
+            if new[0] <= loss + 1e-4 * step * slope:
+                break
+            step *= 0.5
+        coef, intercept = new_coef, new_intercept
+        loss, grad_coef, grad_int, p = new
+    grad_norm = float(np.linalg.norm(np.concatenate([grad_coef, [grad_int]])))
+    return coef, float(intercept), {"loss": loss, "iterations": iterations,
+                                    "converged": converged, "grad_norm": grad_norm}
+
+
+def rfe_reference(X, y, k, lam, tie_rtol):
+    """Elimination one problem at a time with `newton_fit_reference`: drop the
+    last of the smallest |coef| (within a relative tie_rtol), warm-start each
+    elimination refit, refit the selection cold. Returns (active columns,
+    coef, intercept, diagnostics)."""
+    active = list(range(X.shape[1]))
+    start = None
+    while len(active) > k:
+        coef, intercept, _ = newton_fit_reference(X[:, active], y, lam, start)
+        magnitude = np.abs(coef)
+        drop = int(np.flatnonzero(magnitude <= magnitude.min() * (1 + tie_rtol))[-1])
+        del active[drop]
+        start = (np.delete(coef, drop), intercept)
+    return (active, *newton_fit_reference(X[:, active], y, lam))

@@ -10,6 +10,7 @@ from ppgtriage.evaluate import (auroc, choose_threshold, confusion_metrics, expo
                                 labels_by_patient, plan_splits, roc_on_grid, run_experiment,
                                 shuffle_patient_labels)
 from ppgtriage.io import read_report, write_report
+from ppgtriage.model import predict_proba, train_model
 
 from .conftest import synthetic_feature_matrix
 from .oracles import auroc_pairwise, confusion_reference, youden_scan
@@ -359,3 +360,61 @@ def test_run_experiment_rejects_what_the_config_rejects(bad):
     with pytest.raises(ConfigError):
         run_experiment(matrix, **{"n_iter": 2, "seed": 1, **bad})
     assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("bad", [{"seed": -1}, {"seed": None}, {"n_iter": 0},
+                                 {"train_fraction": 1.0}],
+                         ids=lambda bad: "-".join(f"{k}={v}" for k, v in bad.items()))
+def test_plan_splits_rejects_bad_parameters_as_config_errors(bad):
+    labels = {"a": 1, "b": 1, "c": 1, "x": 0, "y": 0, "z": 0}
+    with pytest.raises(ConfigError):
+        plan_splits(labels, **{"n_iter": 2, "seed": 1, **bad})
+
+
+def test_run_experiment_rejects_a_family_string():
+    matrix = synthetic_feature_matrix(n_pos=4, n_neg=6, windows=4, seed=30)
+    with pytest.raises(ConfigError, match="sequence of family names"):
+        run_experiment(matrix, n_iter=2, seed=1, families="ALL")
+
+
+def test_stacked_splits_match_per_split_training():
+    """Within one chunk the splits of a family train in several stacks: NaN
+    rows in MOR give the splits different training row counts, and a BRV
+    column that varies only within one patient is constant whenever that
+    patient is held out, so standardizers keep different columns. The report
+    is the same at 1, 2 and 3 workers and every split equals a `train_model`
+    of its own training rows."""
+    matrix = synthetic_feature_matrix(n_pos=6, n_neg=8, windows=3, seed=40)
+    pid_arr = np.array(matrix.patient_ids)
+    mor, brv = matrix.family_columns("MOR"), matrix.family_columns("BRV")
+    matrix.values[[0, 7, 20, 31], mor[3]] = np.nan
+    matrix.values[:, brv[0]] = 2.0
+    matrix.values[pid_arr == "P000", brv[0]] = [1.0, 3.0, 4.0]
+    n_iter, seed = 8, 41
+    reports = [run_experiment(matrix, n_iter=n_iter, seed=seed, workers=w).to_dict()
+               for w in (1, 2, 3)]
+    assert reports[0] == reports[1] == reports[2]
+
+    plan = plan_splits(labels_by_patient(matrix), n_iter=n_iter, seed=seed)
+    train_rows, kept = {}, {}
+    for family in ("MOR", "BRV", "META", "ALL"):
+        cols = matrix.family_columns(family)
+        names = [matrix.feature_names[c] for c in cols]
+        X = matrix.values[:, cols]
+        finite = np.all(np.isfinite(X), axis=1)
+        for it, split in enumerate(plan.iterations):
+            result = reports[0]["families"][family]["iterations"][it]
+            assert result["degenerate"] is None
+            tr = np.isin(pid_arr, split["train"]) & finite
+            te = np.isin(pid_arr, split["test"]) & finite
+            fitted = train_model(X[tr], matrix.labels[tr], names)
+            train_rows.setdefault(family, set()).add(int(tr.sum()))
+            kept.setdefault(family, set()).add(fitted.standardizer.kept_mask.tobytes())
+            assert result["selected_features"] == fitted.feature_names
+            assert result["converged"] == fitted.diagnostics["converged"]
+            proba_tr = predict_proba(fitted, X[tr])
+            proba_te = predict_proba(fitted, X[te])
+            assert result["window"]["auroc"] == auroc(proba_te, matrix.labels[te])
+            assert result["window"]["threshold"] == choose_threshold(proba_tr, matrix.labels[tr])
+    assert len(train_rows["MOR"]) > 1 and len(train_rows["BRV"]) == 1
+    assert len(kept["BRV"]) > 1

@@ -5,7 +5,7 @@ import pytest
 
 from ppgtriage.errors import DataError
 from ppgtriage.evaluate import EvalReport
-from ppgtriage.io import (Recording, binarize_label, load_cohort, load_manifest,
+from ppgtriage.io import (SAMPLE_CHUNK, Recording, binarize_label, load_cohort, load_manifest,
                           load_samples, read_report, write_cohort, write_report, write_samples)
 
 
@@ -156,3 +156,27 @@ def test_recording_validate_applies_the_manifest_rules(key, value):
     setattr(recording, key, value)
     with pytest.raises(DataError, match=f"patient 'A': .*{key}"):
         recording.validate()
+
+
+@pytest.mark.parametrize("n", [0, 1, SAMPLE_CHUNK - 1, SAMPLE_CHUNK, SAMPLE_CHUNK + 1])
+def test_streamed_sample_file_equals_the_joined_text(tmp_path, n):
+    """Writing in chunks gives the bytes of one join over the whole array."""
+    x = np.random.default_rng(n).normal(scale=1e3, size=n)
+    path = tmp_path / "s.txt"
+    write_samples(path, x)
+    assert path.read_bytes() == ("\n".join(map(repr, x.tolist())) + "\n").encode()
+
+
+def test_sample_write_memory_stays_near_the_array(tmp_path):
+    """A 300k-sample recording (2.4 MB of float64, about 6 MB of text) is written
+    with a few MB of temporaries, not the tens of MB of a whole-text join."""
+    import tracemalloc
+
+    x = np.random.default_rng(3).normal(size=300_000)
+    tracemalloc.start()
+    try:
+        write_samples(tmp_path / "s.txt", x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12e6, peak

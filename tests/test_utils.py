@@ -88,3 +88,28 @@ def test_blas_initializer_sets_one_thread():
                     break
     """)
     assert run.returncode == 0, run.stderr
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/maps")
+@pytest.mark.parametrize("argv, libraries", [
+    (["evaluate", "--matrix", "missing.csv", "--out", "unused"], 1),
+    (["extract", "--manifest", "missing.json", "--out", "unused"], 2),     # numpy's and scipy's
+])
+def test_cli_process_runs_one_blas_thread(argv, libraries):
+    """The CLI limits its own process to one BLAS thread once the stage's
+    libraries are loaded, as pool workers already are."""
+    run = _run(f"""
+        import ctypes
+        from ppgtriage import cli
+        assert cli.main({argv!r}) in (2, 3)
+        with open("/proc/self/maps") as fh:
+            paths = {{l.split(None, 5)[5].strip() for l in fh if "openblas" in l}}
+        assert len(paths) >= {libraries}, paths
+        getters = ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
+                   "openblas_get_num_threads")
+        for path in paths:
+            lib = ctypes.CDLL(path)
+            getter = next(getattr(lib, name) for name in getters if hasattr(lib, name))
+            assert getter() == 1, path
+    """)
+    assert run.returncode == 0, run.stderr
