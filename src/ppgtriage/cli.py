@@ -17,7 +17,7 @@ from .config import VALID_FAMILIES, VALID_METRIC_LEVELS, RunConfig, load_config
 from .errors import ConfigError, DataError, EvaluationError
 from .evaluate import run_experiment
 from .features import FeatureMatrix
-from .io import write_report
+from .io import read_json_object, write_report
 from .synth import spec_from_dict, synth_cohort_to_dir
 from .utils import single_thread_blas
 
@@ -68,18 +68,10 @@ def _effective_workers(cli_workers: int | None, config: RunConfig) -> int | None
 
 
 def cmd_synth(args) -> int:
-    spec_path = Path(args.spec)
-    if not spec_path.is_file():
-        raise ConfigError(f"cohort spec file not found: {spec_path}")
-    try:
-        doc = json.loads(spec_path.read_text())
-    except ValueError as exc:    # also a file that is not UTF-8
-        raise ConfigError(f"cohort spec {spec_path} is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ConfigError(f"cohort spec {spec_path} must be a JSON object")
+    doc = read_json_object(args.spec, "cohort spec", ConfigError)
     if args.seed is None and "seed" not in doc:
         raise ConfigError("a seed is required: set 'seed' in the spec or pass --seed")
-    spec = spec_from_dict(doc)
+    spec = spec_from_dict(doc, f"cohort spec {args.spec}")
     if args.seed is not None:
         spec.seed = args.seed
     manifest = synth_cohort_to_dir(spec, args.out, workers=args.workers)
@@ -143,17 +135,8 @@ def cmd_evaluate(args) -> int:
     config.validate()
 
     matrix = FeatureMatrix.from_csv(args.matrix)
-    screening = None
-    if args.screening is not None:
-        screening_path = Path(args.screening)
-        if not screening_path.is_file():
-            raise DataError(f"screening log not found: {screening_path}")
-        try:
-            screening = json.loads(screening_path.read_text())
-        except ValueError as exc:
-            raise DataError(f"screening log {screening_path} is not valid JSON: {exc}") from None
-        if not isinstance(screening, dict):
-            raise DataError(f"screening log {screening_path} must be a JSON object")
+    screening = (None if args.screening is None
+                 else read_json_object(args.screening, "screening log", DataError))
 
     workers = _effective_workers(args.workers, config)
     report = run_experiment(

@@ -1,15 +1,19 @@
-"""Run configuration: one flat key/value file drives every pipeline stage."""
+"""Run configuration, and the one JSON-document parser it shares with the cohort spec."""
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass, fields, is_dataclass
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 from .errors import ConfigError
+from .io import read_json_object
 
 VALID_FAMILIES = ("MOR", "BRV", "META", "ALL")
 VALID_METRIC_LEVELS = ("window", "patient", "both")
+#: document keys that differ from their field names, by field name
+KEY_ALIASES = {"lam": "lambda"}
 
 
 @dataclass
@@ -34,6 +38,7 @@ class RunConfig:
     workers: int | None = None
 
     def validate(self) -> None:
+        check_finite(self)
         if not (0 < self.band_low_hz < self.band_high_hz):
             raise ConfigError("need 0 < band_low_hz < band_high_hz")
         if self.filter_order < 2 or self.filter_order % 2:
@@ -70,14 +75,6 @@ class RunConfig:
             raise ConfigError("workers must be >= 1")
 
 
-_KEY_MAP = {
-    "band_low_hz": float, "band_high_hz": float, "filter_order": int, "window_s": float,
-    "sqi_threshold": float, "am_threshold": float, "min_beats": int,
-    "n_iter": int, "train_fraction": float, "rfe_k": int, "lambda": float,
-    "seed": int, "families": tuple, "metric_level": str, "workers": int,
-}
-
-
 def parse_number(value, kind: type, where: str):
     """Cast one value of a JSON document to `kind` (int or float).
 
@@ -95,37 +92,68 @@ def parse_number(value, kind: type, where: str):
         raise ConfigError(f"{where}: {exc}") from exc
 
 
-def config_from_dict(doc: dict) -> RunConfig:
-    unknown = set(doc) - set(_KEY_MAP)
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    cfg = RunConfig()
-    for key, value in doc.items():
-        attr = "lam" if key == "lambda" else key
-        if key == "families":
-            if not isinstance(value, list):
-                raise ConfigError("families must be a list")
-            cfg = replace(cfg, families=tuple(value))
-        elif value is None and key in ("seed", "workers"):
-            cfg = replace(cfg, **{attr: None})
-        elif key == "metric_level":
-            cfg = replace(cfg, metric_level=str(value))
-        else:
-            cfg = replace(cfg, **{attr: parse_number(value, _KEY_MAP[key], f"config key '{key}'")})
-    cfg.validate()
-    return cfg
+def check_finite(obj, prefix: str = "") -> None:
+    """Raise ConfigError naming the first NaN or infinite float of dataclass
+    `obj`, its nested dataclasses and tuples included, by its dotted key."""
+    for f in fields(obj):
+        key = prefix + KEY_ALIASES.get(f.name, f.name)
+        value = getattr(obj, f.name)
+        if is_dataclass(value):
+            check_finite(value, key + ".")
+        for item in value if isinstance(value, tuple) else (value,):
+            if isinstance(item, float) and not math.isfinite(item):
+                raise ConfigError(f"{key} must be a finite number, got {item!r}")
+
+
+def from_document(cls, doc, where: str):
+    """Build dataclass `cls` from the JSON object `doc`, then validate it.
+
+    Keys and types come from the fields (KEY_ALIASES gives a document key that
+    differs from its field name), and a key left out keeps its default. A
+    dataclass field takes a nested object, `int` and `float` go through
+    parse_number, `X | None` also takes null, `tuple[T, ...]` takes a list and
+    `tuple[T, T]` a list of exactly two; a `str` is passed on for `validate`
+    to judge. Errors are ConfigError naming `where` and the dotted key.
+    """
+    obj = _parse(cls, doc, where, "")
+    obj.validate()
+    return obj
+
+
+def _parse(hint, value, where: str, key: str):
+    at = f"{where} key '{key}'" if key else where
+    if is_dataclass(hint):
+        if not isinstance(value, dict):
+            raise ConfigError(f"{at} must be a JSON object")
+        names = {KEY_ALIASES.get(f.name, f.name): f.name for f in fields(hint)}
+        unknown = set(value) - set(names)
+        if unknown:
+            raise ConfigError(f"{at}: unknown keys {sorted(unknown, key=str)}")
+        hints = get_type_hints(hint)
+        return hint(**{names[k]: _parse(hints[names[k]], v, where, f"{key}.{k}" if key else k)
+                       for k, v in value.items()})
+    args = get_args(hint)
+    if type(None) in args:
+        [inner] = set(args) - {type(None)}
+        return None if value is None else _parse(inner, value, where, key)
+    if get_origin(hint) is tuple:
+        if not isinstance(value, list):
+            raise ConfigError(f"{at} must be a list")
+        items = args[:1] * len(value) if args[-1] is Ellipsis else args
+        if len(value) != len(items):
+            raise ConfigError(f"{at} must be a list of {len(items)} values")
+        return tuple(_parse(h, v, where, f"{key}[{i}]")
+                     for i, (h, v) in enumerate(zip(items, value)))
+    if hint in (int, float):
+        return parse_number(value, hint, at)
+    return value
+
+
+def config_from_dict(doc: dict, where: str = "config") -> RunConfig:
+    return from_document(RunConfig, doc, where)
 
 
 def load_config(path: Path | str | None) -> RunConfig:
     if path is None:
         return RunConfig()
-    path = Path(path)
-    if not path.is_file():
-        raise ConfigError(f"config file not found: {path}")
-    try:
-        doc = json.loads(path.read_text())
-    except ValueError as exc:    # also a file that is not UTF-8
-        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ConfigError(f"config {path} must be a JSON object")
-    return config_from_dict(doc)
+    return config_from_dict(read_json_object(path, "config", ConfigError), f"config {path}")

@@ -127,15 +127,13 @@ def roc_points(scores, labels) -> tuple[np.ndarray, np.ndarray]:
     sorted_scores = scores[order]
     tps = np.cumsum(ys == 1)
     fps = np.cumsum(ys == 0)
-    boundaries = np.concatenate([np.flatnonzero(np.diff(sorted_scores) != 0),
+    boundaries = np.concatenate([np.flatnonzero(sorted_scores[1:] != sorted_scores[:-1]),
                                  [len(ys) - 1]])
     fpr = np.concatenate([[0.0], fps[boundaries] / n0])
     tpr = np.concatenate([[0.0], tps[boundaries] / n1])
-    collapsed: dict[float, float] = {}
-    for f, t in zip(fpr, tpr):
-        collapsed[float(f)] = float(t)      # tpr is nondecreasing: last wins
-    fpr_u = np.array(sorted(collapsed))
-    tpr_u = np.array([collapsed[f] for f in fpr_u])
+    # fpr never decreases: keep the last (highest-tpr) vertex of each equal-fpr run
+    last = np.append(fpr[1:] != fpr[:-1], True)
+    fpr_u, tpr_u = fpr[last], tpr[last]
     if fpr_u[-1] < 1.0:
         fpr_u = np.append(fpr_u, 1.0)
         tpr_u = np.append(tpr_u, 1.0)

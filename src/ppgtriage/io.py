@@ -73,6 +73,21 @@ class Recording:
             raise DataError(f"patient '{self.patient_id}': non-finite sample at index {bad}")
 
 
+def read_json_object(path: Path | str, what: str, error: type[Exception]) -> dict:
+    """Read a UTF-8 JSON file whose top level is an object; a missing file, bad
+    bytes, bad JSON or another top level raise `error` naming `what` and the path."""
+    path = Path(path)
+    if not path.is_file():
+        raise error(f"{what} not found: {path}")
+    try:
+        doc = json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:      # UnicodeDecodeError and JSONDecodeError alike
+        raise error(f"{what} {path} is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise error(f"{what} {path} must be a JSON object")
+    return doc
+
+
 def binarize_label(label: str) -> int:
     """Map a three-way class label onto the binary target (LVO -> 1, NL/SM -> 0)."""
     if label not in LABELS:
@@ -106,16 +121,9 @@ def write_samples(path: Path | str, samples: np.ndarray) -> None:
 
 def load_manifest(path: Path | str) -> list[dict]:
     """Parse and validate a cohort manifest; malformed entries name their index."""
-    path = Path(path)
-    if not path.is_file():
-        raise DataError(f"manifest not found: {path}")
-    try:
-        doc = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise DataError(f"manifest {path} is not valid JSON: {exc}") from exc
-    entries = doc.get("entries") if isinstance(doc, dict) else None
+    entries = read_json_object(path, "manifest", DataError).get("entries")
     if not isinstance(entries, list):
-        raise DataError(f"manifest {path} must be an object with an 'entries' list")
+        raise DataError(f"manifest {path} must have an 'entries' list")
 
     seen: set[str] = set()
     out: list[dict] = []
@@ -215,11 +223,4 @@ def read_report(path: Path | str):
     """Read a report written by write_report back into an EvalReport."""
     from .evaluate import EvalReport  # deferred: evaluate imports io at module load
 
-    path = Path(path)
-    if not path.is_file():
-        raise DataError(f"report not found: {path}")
-    try:
-        doc = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise DataError(f"report {path} is not valid JSON: {exc}") from exc
-    return EvalReport.from_dict(doc)
+    return EvalReport.from_dict(read_json_object(path, "report", DataError))

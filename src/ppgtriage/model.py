@@ -199,7 +199,8 @@ def fit_logistic(X: np.ndarray, y: np.ndarray, lam: float = RunConfig.lam,
     Deterministic: zero initialization unless `start` gives a (coef, intercept)
     pair to begin from, Newton direction with an Armijo backtracking line
     search, gradient-descent fallback if a Newton step is unusable.
-    Convergence means gradient 2-norm <= tol.
+    Convergence means gradient 2-norm <= tol. A non-finite `lam` raises
+    ValueError before the first step.
 
     A stack X of shape (B, n, d), with y of shape (B, n) and a start of (B, d)
     coefficients and B intercepts, fits its B problems in lockstep and returns
@@ -207,6 +208,8 @@ def fit_logistic(X: np.ndarray, y: np.ndarray, lam: float = RunConfig.lam,
     `converged` and `grad_norm`. `iterations` is always an int: the Newton
     steps of the whole stack.
     """
+    if not np.isfinite(lam):
+        raise ValueError(f"lam must be a finite number, got {lam!r}")
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     single = X.ndim == 2

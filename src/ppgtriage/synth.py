@@ -14,14 +14,14 @@ so parallel generation is deterministic regardless of schedule.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from . import io
-from .config import parse_number
+from .config import check_finite, from_document
 from .errors import ConfigError
 from .io import Recording
 from .utils import pmap
@@ -47,6 +47,7 @@ class BeatModel:
     diastolic_width: float = 0.06
 
     def validate(self) -> None:
+        check_finite(self)
         if self.systolic_width <= 0 or self.diastolic_width <= 0:
             raise ConfigError("beat widths must be positive")
         if self.systolic_amp <= 0:
@@ -69,6 +70,7 @@ class ClassParams:
     age_range: tuple[float, float] = (60.0, 80.0)
 
     def validate(self) -> None:
+        check_finite(self)
         self.beat.validate()
         if not (20.0 < self.mean_hr_bpm < 250.0):
             raise ConfigError(f"mean_hr_bpm must be in (20, 250), got {self.mean_hr_bpm}")
@@ -100,6 +102,7 @@ class CohortSpec:
     seed: int = 0
 
     def validate(self) -> None:
+        check_finite(self)
         if self.n_positive < 0 or self.n_negative < 0:
             raise ConfigError("cohort counts must be >= 0")
         if self.duration_s <= 0:
@@ -273,58 +276,5 @@ def matched_cohort_spec(n_positive: int = 25, n_negative: int = 61,
                       seed=seed)
 
 
-def _spec_number(value, kind: type, where: str):
-    """A spec number as `kind`; every number in a cohort spec must be finite."""
-    number = parse_number(value, kind, where)
-    if kind is float and not math.isfinite(number):
-        raise ConfigError(f"{where}: expected a finite number, got {value!r}")
-    return number
-
-
-def _class_params_from_dict(doc, where: str) -> ClassParams:
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{where} must be a JSON object")
-    known = {"beat", "mean_hr_bpm", "hr_sd_bpm", "hr_ar", "age_range"}
-    unknown = set(doc) - known
-    if unknown:
-        raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
-    params = ClassParams()
-    if "beat" in doc:
-        beat_doc = doc["beat"]
-        if not isinstance(beat_doc, dict):
-            raise ConfigError(f"{where}.beat must be a JSON object")
-        bad = set(beat_doc) - set(asdict(BeatModel()))
-        if bad:
-            raise ConfigError(f"{where}.beat: unknown keys {sorted(bad)}")
-        params.beat = BeatModel(**{k: _spec_number(v, float, f"{where}.beat.{k}")
-                                   for k, v in beat_doc.items()})
-    for key in ("mean_hr_bpm", "hr_sd_bpm", "hr_ar"):
-        if key in doc:
-            setattr(params, key, _spec_number(doc[key], float, f"{where}.{key}"))
-    if "age_range" in doc:
-        bounds = doc["age_range"]
-        if not isinstance(bounds, (list, tuple)) or len(bounds) != 2:
-            raise ConfigError(f"{where}.age_range must be a list [lo, hi]")
-        params.age_range = tuple(_spec_number(v, float, f"{where}.age_range") for v in bounds)
-    return params
-
-
-def spec_from_dict(doc: dict) -> CohortSpec:
-    known = {"n_positive", "n_negative", "duration_s", "fs", "positive", "negative",
-             "noise_sd", "wander_amp", "wander_freq_hz", "male_fraction", "seed"}
-    unknown = set(doc) - known
-    if unknown:
-        raise ConfigError(f"cohort spec: unknown keys {sorted(unknown)}")
-    spec = CohortSpec()
-    for key in ("duration_s", "fs", "noise_sd", "wander_amp", "wander_freq_hz", "male_fraction"):
-        if key in doc:
-            setattr(spec, key, _spec_number(doc[key], float, f"cohort spec key '{key}'"))
-    for key in ("n_positive", "n_negative", "seed"):
-        if key in doc:
-            setattr(spec, key, _spec_number(doc[key], int, f"cohort spec key '{key}'"))
-    if "positive" in doc:
-        spec.positive = _class_params_from_dict(doc["positive"], "positive")
-    if "negative" in doc:
-        spec.negative = _class_params_from_dict(doc["negative"], "negative")
-    spec.validate()
-    return spec
+def spec_from_dict(doc: dict, where: str = "cohort spec") -> CohortSpec:
+    return from_document(CohortSpec, doc, where)

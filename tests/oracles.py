@@ -114,6 +114,28 @@ def auroc_pairwise(scores, labels):
     return total / (len(pos) * len(neg))
 
 
+def roc_vertices(scores, labels):
+    """ROC vertices by brute force: (0, 0), then one (fpr, tpr) point per
+    distinct score from the highest down; points with equal fpr merge into
+    the last one (tpr never falls), and (1, 1) closes the curve if missing."""
+    n1 = sum(1 for l in labels if l == 1)
+    n0 = sum(1 for l in labels if l == 0)
+    points = [(0.0, 0.0)]
+    for cut in sorted(set(scores), reverse=True):
+        tp = sum(1 for s, l in zip(scores, labels) if s >= cut and l == 1)
+        fp = sum(1 for s, l in zip(scores, labels) if s >= cut and l == 0)
+        points.append((fp / n0, tp / n1))
+    collapsed = {}
+    for f, t in points:
+        collapsed[f] = t
+    fpr = sorted(collapsed)
+    tpr = [collapsed[f] for f in fpr]
+    if fpr[-1] < 1.0:
+        fpr.append(1.0)
+        tpr.append(1.0)
+    return fpr, tpr
+
+
 def confusion_reference(scores, labels, threshold):
     tp = fp = tn = fn = 0
     for s, l in zip(scores, labels):

@@ -1,5 +1,6 @@
 import json
 import re
+import time
 
 import numpy as np
 import pytest
@@ -311,3 +312,36 @@ def test_evaluate_negative_seed_flag_is_config_error(extracted_dir, tmp_path, ca
     err = capsys.readouterr().err
     assert err.startswith("error[config]:") and "seed" in err
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command, doc", [
+    ("extract", {"window_s": float("nan")}), ("extract", {"window_s": float("inf")}),
+    ("extract", {"am_threshold": float("nan")}),
+    ("evaluate", {"lambda": float("nan"), "seed": 1, "n_iter": 3}),
+    ("evaluate", {"window_s": float("inf"), "seed": 1, "n_iter": 3}),
+], ids=["extract-window_s-NaN", "extract-window_s-Infinity", "extract-am_threshold-NaN",
+        "evaluate-lambda-NaN", "evaluate-window_s-Infinity"])
+def test_non_finite_config_number_is_config_error(cohort_dir, extracted_dir, tmp_path, capsys,
+                                                  command, doc):
+    cfg = _write(tmp_path / "cfg.json", doc)      # json writes NaN and Infinity as such
+    source = (["--manifest", str(cohort_dir / "manifest.json")] if command == "extract"
+              else ["--matrix", str(extracted_dir / "features.csv")])
+    start = time.perf_counter()
+    code = main([command, *source, "--config", cfg, "--out", str(tmp_path / "x"),
+                 "--workers", "1"])
+    assert time.perf_counter() - start < 5.0
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error[config]: {next(iter(doc))} must be a finite number")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "x").exists()
+
+
+def test_extract_manifest_that_is_not_utf8_is_data_error(tmp_path, capsys):
+    manifest = tmp_path / "manifest.json"
+    manifest.write_bytes(b'{"entries": [{"patient_id": "\xe9"}]}')
+    code = main(["extract", "--manifest", str(manifest), "--out", str(tmp_path / "x")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error[data]:") and str(manifest) in err and err.count("\n") == 1
+    assert not (tmp_path / "x").exists()

@@ -7,13 +7,13 @@ from hypothesis import strategies as st
 
 from ppgtriage.errors import ConfigError, DataError, EvaluationError
 from ppgtriage.evaluate import (auroc, choose_threshold, confusion_metrics, export_distributions,
-                                labels_by_patient, plan_splits, roc_on_grid, run_experiment,
-                                shuffle_patient_labels)
+                                labels_by_patient, plan_splits, roc_on_grid, roc_points,
+                                run_experiment, shuffle_patient_labels)
 from ppgtriage.io import read_report, write_report
 from ppgtriage.model import predict_proba, train_model
 
 from .conftest import synthetic_feature_matrix
-from .oracles import auroc_pairwise, confusion_reference, youden_scan
+from .oracles import auroc_pairwise, confusion_reference, roc_vertices, youden_scan
 
 
 def _paper_shaped_labels():
@@ -351,7 +351,8 @@ def test_auroc_matches_rankdata_formula_exactly(scores, data):
 
 
 @pytest.mark.parametrize("bad", [{"n_iter": 0}, {"rfe_k": 0}, {"lam": -1.0}, {"families": ()},
-                                 {"metric_level": "x"}, {"seed": -1}, {"seed": None}],
+                                 {"metric_level": "x"}, {"seed": -1}, {"seed": None},
+                                 {"lam": float("nan")}, {"lam": float("inf")}],
                          ids=lambda bad: "-".join(f"{k}={v}" for k, v in bad.items()))
 def test_run_experiment_rejects_what_the_config_rejects(bad):
     matrix = synthetic_feature_matrix(n_pos=4, n_neg=6, windows=4, seed=30)
@@ -418,3 +419,15 @@ def test_stacked_splits_match_per_split_training():
             assert result["window"]["threshold"] == choose_threshold(proba_tr, matrix.labels[tr])
     assert len(train_rows["MOR"]) > 1 and len(train_rows["BRV"]) == 1
     assert len(kept["BRV"]) > 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(scores=st.lists(st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0, 2.0]), min_size=2,
+                       max_size=60) | _tied_scores, data=st.data())
+def test_roc_points_keep_the_last_vertex_of_each_equal_fpr_run(scores, data):
+    labels = data.draw(st.lists(st.sampled_from([0, 1]), min_size=len(scores),
+                                max_size=len(scores)))
+    labels[0], labels[1] = 1, 0
+    fpr, tpr = roc_points(scores, labels)
+    assert (fpr.tolist(), tpr.tolist()) == roc_vertices(scores, labels)
+

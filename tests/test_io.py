@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -180,3 +181,11 @@ def test_sample_write_memory_stays_near_the_array(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 12e6, peak
+
+
+@pytest.mark.parametrize("content", [b"[1, 2]", b'{"config": "\xff"}', b"{not json"])
+def test_unreadable_report_is_data_error(tmp_path, content):
+    path = tmp_path / "report.json"
+    path.write_bytes(content)
+    with pytest.raises(DataError, match=f"report {re.escape(str(path))}"):
+        read_report(path)

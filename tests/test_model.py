@@ -305,3 +305,15 @@ def test_trained_model_separates_classes():
     names = [f"f{i}" for i in range(X.shape[1])]
     model = train_model(X, y, names, lam=1.0, k=5)
     assert auroc(predict_proba(model, X), y) > 0.85
+
+
+@pytest.mark.parametrize("lam", [float("nan"), float("inf"), -float("inf")])
+def test_fit_rfe_and_train_reject_a_non_finite_lam(lam):
+    rng = np.random.default_rng(16)
+    X = rng.normal(size=(40, 3))
+    y = np.array([0.0, 1.0] * 20)
+    for fit in (lambda: fit_logistic(X, y, lam=lam), lambda: rfe(X, y, list("abc"), lam=lam, k=1),
+                lambda: train_model(X, y, list("abc"), lam=lam, k=1),
+                lambda: fit_logistic(np.stack([X, X]), np.stack([y, y]), lam=lam)):
+        with pytest.raises(ValueError, match="lam"):
+            fit()

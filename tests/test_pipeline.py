@@ -161,8 +161,13 @@ def test_screening_log_reasons_accumulate():
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-@pytest.mark.parametrize("config", [RunConfig(min_beats=-1), RunConfig(sqi_threshold=5.0)],
-                         ids=["min_beats=-1", "sqi_threshold=5.0"])
+@pytest.mark.parametrize("config", [RunConfig(min_beats=-1), RunConfig(sqi_threshold=5.0),
+                                    RunConfig(window_s=float("nan")),
+                                    RunConfig(band_high_hz=float("inf")),
+                                    RunConfig(am_threshold=float("nan"))],
+                         ids=["min_beats=-1", "sqi_threshold=5.0", "window_s=nan",
+                              "band_high_hz=inf", "am_threshold=nan"])
 def test_extract_matrix_rejects_a_bad_config(small_cohort, config, workers):
     with pytest.raises(ConfigError):
         extract_matrix(small_cohort, config, workers=workers)
+

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
@@ -218,3 +219,41 @@ def test_write_cohort_writes_what_synth_to_dir_writes(tmp_path):
     assert names == sorted(p.name for p in (tmp_path / "b").iterdir())
     for name in names:
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+@pytest.mark.parametrize("spec, key", [
+    (CohortSpec(duration_s=float("nan")), "duration_s"),
+    (CohortSpec(fs=float("inf")), "fs"),
+    (CohortSpec(negative=ClassParams(hr_ar=float("nan"))), "negative.hr_ar"),
+    (CohortSpec(positive=ClassParams(age_range=(60.0, float("inf")))), "positive.age_range"),
+    (CohortSpec(positive=ClassParams(beat=BeatModel(diastolic_amp=float("nan")))),
+     "positive.beat.diastolic_amp"),
+], ids=lambda v: v if isinstance(v, str) else "")
+def test_synth_cohort_rejects_a_non_finite_spec_number(spec, key):
+    with pytest.raises(ConfigError, match=f"^{re.escape(key)} must be a finite number"):
+        synth_cohort(spec)
+
+
+@pytest.mark.parametrize("doc, key", [
+    ({"positive": {"beat": {"diastolic_amp": True}}}, "positive.beat.diastolic_amp"),
+    ({"negative": {"age_range": [50, "old"]}}, "negative.age_range[1]"),
+    ({"positive": {"age_range": [50, 60, 70]}}, "positive.age_range"),
+    ({"positive": {"beat": {"bogus": 1.0}}}, "positive.beat"),
+    ({"negative": []}, "negative"),
+])
+def test_spec_errors_name_the_dotted_key(doc, key):
+    with pytest.raises(ConfigError, match=re.escape(f"cohort spec key '{key}'")):
+        spec_from_dict(doc)
+
+
+def test_quick_start_spec_is_the_separated_preset():
+    doc = {"n_positive": 25, "n_negative": 61, "duration_s": 600, "fs": 1000,
+           "noise_sd": 0.01, "seed": 7,
+           "positive": {"mean_hr_bpm": 78, "hr_sd_bpm": 1.2,
+                        "beat": {"systolic_center": 0.28, "systolic_width": 0.09,
+                                 "diastolic_amp": 0.45, "diastolic_center": 0.50,
+                                 "diastolic_width": 0.055}},
+           "negative": {"mean_hr_bpm": 70, "hr_sd_bpm": 3.0,
+                        "beat": {"diastolic_amp": 0.30, "diastolic_center": 0.56,
+                                 "diastolic_width": 0.06}}}
+    assert spec_from_dict(doc) == separated_cohort_spec(seed=7)
