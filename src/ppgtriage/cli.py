@@ -17,15 +17,20 @@ from .config import VALID_FAMILIES, VALID_METRIC_LEVELS, RunConfig, load_config
 from .errors import ConfigError, DataError, EvaluationError
 from .evaluate import run_experiment
 from .features import FeatureMatrix
-from .io import read_json_object, write_report
-from .synth import spec_from_dict, synth_cohort_to_dir
+from .io import read_json_object, require_finite, write_report
 from .utils import single_thread_blas
 
 
-# The extract stage loads scipy, which `synth` and `evaluate` never need, so it
-# is imported on first call. It stays an attribute of this module because
-# instrumentation (the tracer in perfbench/) wraps each stage where the
-# commands look it up.
+# The extract stage loads scipy and the synth stage its generator, neither of
+# which `evaluate` needs, so each is imported on first call. They stay
+# attributes of this module because instrumentation (the tracer in perfbench/)
+# wraps each stage where the commands look it up.
+def synth_cohort_to_dir(*args, **kwargs):
+    from .synth import synth_cohort_to_dir as stage
+
+    return stage(*args, **kwargs)
+
+
 def extract_cohort(*args, **kwargs):
     from .pipeline import extract_cohort as stage
 
@@ -68,6 +73,8 @@ def _effective_workers(cli_workers: int | None, config: RunConfig) -> int | None
 
 
 def cmd_synth(args) -> int:
+    from .synth import spec_from_dict
+
     doc = read_json_object(args.spec, "cohort spec", ConfigError)
     if args.seed is None and "seed" not in doc:
         raise ConfigError("a seed is required: set 'seed' in the spec or pass --seed")
@@ -135,8 +142,11 @@ def cmd_evaluate(args) -> int:
     config.validate()
 
     matrix = FeatureMatrix.from_csv(args.matrix)
-    screening = (None if args.screening is None
-                 else read_json_object(args.screening, "screening log", DataError))
+    screening = None
+    if args.screening is not None:
+        screening = read_json_object(args.screening, "screening log", DataError)
+        # the report embeds the log, and a report holds finite numbers only
+        require_finite(screening, f"screening log {args.screening}", DataError)
 
     workers = _effective_workers(args.workers, config)
     report = run_experiment(

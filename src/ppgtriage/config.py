@@ -14,6 +14,8 @@ VALID_FAMILIES = ("MOR", "BRV", "META", "ALL")
 VALID_METRIC_LEVELS = ("window", "patient", "both")
 #: document keys that differ from their field names, by field name
 KEY_ALIASES = {"lam": "lambda"}
+#: most worker processes a run may ask for
+MAX_WORKERS = 256
 
 
 @dataclass
@@ -71,8 +73,8 @@ class RunConfig:
             raise ConfigError("families must not be empty")
         if self.metric_level not in VALID_METRIC_LEVELS:
             raise ConfigError(f"metric_level must be one of {VALID_METRIC_LEVELS}")
-        if self.workers is not None and self.workers < 1:
-            raise ConfigError("workers must be >= 1")
+        if self.workers is not None and not (1 <= self.workers <= MAX_WORKERS):
+            raise ConfigError(f"workers must be in [1, {MAX_WORKERS}], got {self.workers}")
 
 
 def parse_number(value, kind: type, where: str):

@@ -11,12 +11,17 @@ threshold-based metrics with the operating point chosen on training data
 Scores are also averaged per patient (a patient's score is the mean of their
 kept-window probabilities) and the same metric set is emitted at that level.
 
-Splits are fitted as stacks. Each pool task takes one contiguous chunk of
-splits (one chunk per worker, cut smaller only to keep a stack within
-STACK_ELEMENTS), and per family the chunk's splits with equal training row
-counts go to `train_model` as one stack, which groups them further by the
-columns their standardizers keep. Prediction and metrics stay per split, and
-every split's result is bit-identical to training that split alone.
+Splits are fitted as stacks of at most STACK_ELEMENTS training values
+(splits x rows x columns of the widest family). A plan whose splits all fit
+in one stack is one chunk, run in the calling process: a pool would repeat
+the stack's per-call overhead in every worker and add its own start-up. A
+larger plan is cut into contiguous chunks, one per worker, each cut smaller
+only to keep it within one stack, and the chunks run in a pool. Per family a
+chunk's splits with equal training row counts go to `train_model` as one
+stack, which groups them further by the columns their standardizers keep.
+Prediction and metrics stay per split, and every split's result is
+bit-identical to training that split alone, so neither the chunking nor the
+worker count changes the report.
 """
 
 from __future__ import annotations
@@ -290,15 +295,20 @@ def _evaluate_splits(iterations: list[dict], matrix: FeatureMatrix,
 
 def _mean_by_patient(pids: np.ndarray, proba: np.ndarray, labels: np.ndarray
                      ) -> tuple[np.ndarray, np.ndarray]:
+    """Each patient's mean score and first label, patients in sorted id order.
+
+    Patients with the same window count are the rows of one C-contiguous
+    matrix reduced along its rows, which sums each row exactly as the mean
+    of that patient's scores alone would.
+    """
     order = np.argsort(pids, kind="stable")
-    uniq, start = np.unique(pids[order], return_index=True)
-    scores, labs = [], []
-    boundaries = list(start) + [len(pids)]
-    for k in range(len(uniq)):
-        rows = order[boundaries[k]:boundaries[k + 1]]
-        scores.append(float(proba[rows].mean()))
-        labs.append(int(labels[rows[0]]))
-    return np.array(scores), np.array(labs)
+    _, start, counts = np.unique(pids[order], return_index=True, return_counts=True)
+    ordered = proba[order]
+    scores = np.empty(len(start))
+    for count in np.unique(counts):
+        group = np.flatnonzero(counts == count)
+        scores[group] = ordered[start[group, None] + np.arange(count)].mean(axis=1)
+    return scores, labels[order[start]]
 
 
 def _patient_block(test_pids, proba_te, yte, train_pids, proba_tr, ytr, grid) -> dict | None:
@@ -435,11 +445,12 @@ def run_experiment(matrix: FeatureMatrix, *, n_iter: int = RunConfig.n_iter,
     by_patient = labels_by_patient(matrix)
     plan = plan_splits(by_patient, train_fraction=train_fraction, n_iter=n_iter, seed=seed)
 
-    # One contiguous chunk of splits per worker, cut further only so that a
-    # family's stacked training rows stay within STACK_ELEMENTS.
+    # One chunk when every split fits in one stack (pmap then runs it here);
+    # otherwise one contiguous chunk per worker, each at most one stack.
     per_split = matrix.n_rows * max(len(matrix.family_columns(f)) for f in families)
-    size = max(1, min(math.ceil(n_iter / resolve_workers(workers)),
-                      STACK_ELEMENTS // max(per_split, 1)))
+    stack = max(1, STACK_ELEMENTS // max(per_split, 1))
+    size = n_iter if n_iter <= stack else min(math.ceil(n_iter / resolve_workers(workers)),
+                                              stack)
     chunks = [plan.iterations[i:i + size] for i in range(0, n_iter, size)]
     worker = partial(_evaluate_splits, matrix=matrix, families=families,
                      lam=lam, rfe_k=rfe_k, metric_level=metric_level)

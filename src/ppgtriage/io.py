@@ -9,6 +9,7 @@ features are all time-based or amplitude-ratio-based, so absolute units cancel.
 from __future__ import annotations
 
 import json
+import math
 import numbers
 import sys
 from dataclasses import dataclass
@@ -86,6 +87,23 @@ def read_json_object(path: Path | str, what: str, error: type[Exception]) -> dic
     if not isinstance(doc, dict):
         raise error(f"{what} {path} must be a JSON object")
     return doc
+
+
+def require_finite(doc, what: str, error: type[Exception]) -> None:
+    """Raise `error` naming `what` and the path of the first NaN or infinite
+    number in JSON value `doc` (as `recordings[0].windows[2].sqi`)."""
+    stack = [("", doc)]
+    while stack:            # depth first, in document order
+        key, value = stack.pop()
+        if isinstance(value, float) and not math.isfinite(value):
+            raise error(f"{what}: key '{key}' must be a finite number, got {value!r}")
+        if isinstance(value, dict):
+            children = [(f"{key}.{k}" if key else str(k), v) for k, v in value.items()]
+        elif isinstance(value, list):
+            children = [(f"{key}[{i}]", v) for i, v in enumerate(value)]
+        else:
+            continue
+        stack.extend(reversed(children))
 
 
 def binarize_label(label: str) -> int:
@@ -223,4 +241,8 @@ def read_report(path: Path | str):
     """Read a report written by write_report back into an EvalReport."""
     from .evaluate import EvalReport  # deferred: evaluate imports io at module load
 
-    return EvalReport.from_dict(read_json_object(path, "report", DataError))
+    doc = read_json_object(path, "report", DataError)
+    try:
+        return EvalReport.from_dict(doc)
+    except KeyError as exc:
+        raise DataError(f"report {path} lacks the key {exc}") from exc

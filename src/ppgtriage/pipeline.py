@@ -8,6 +8,7 @@ sample file).
 
 from __future__ import annotations
 
+from dataclasses import replace
 from functools import partial
 from pathlib import Path
 
@@ -113,7 +114,7 @@ def _extract(items: list, load, labels: dict[str, str], config: RunConfig | None
     """Process `load(item)` for every item, then assemble the matrix and the
     screening log; `labels` maps each patient id to its class label."""
     config = config or RunConfig()
-    config.validate()
+    replace(config, workers=workers).validate()
     worker = partial(_load_and_process, load=load, config=config)
     results = pmap(worker, items, workers=workers)
     rows = [row for result in results for row in result[0]]
@@ -129,7 +130,7 @@ def _validated(recording: Recording) -> Recording:
 def extract_matrix(recordings: list[Recording], config: RunConfig | None = None,
                    workers: int | None = 1) -> tuple[FeatureMatrix, dict]:
     """Extract the labeled feature matrix from in-memory recordings. A bad
-    config raises ConfigError, and a non-finite sample DataError."""
+    config or worker count raises ConfigError, and a non-finite sample DataError."""
     labels = {rec.patient_id: rec.label for rec in recordings}
     return _extract(recordings, _validated, labels, config, workers)
 
@@ -137,7 +138,7 @@ def extract_matrix(recordings: list[Recording], config: RunConfig | None = None,
 def extract_cohort(manifest_path: Path | str, config: RunConfig | None = None,
                    workers: int | None = 1) -> tuple[FeatureMatrix, dict]:
     """Extract features for a cohort on disk; workers load their own
-    recordings. A bad config raises ConfigError."""
+    recordings. A bad config or worker count raises ConfigError."""
     manifest_path = Path(manifest_path)
     entries = load_manifest(manifest_path)
     labels = {entry["patient_id"]: entry["label"] for entry in entries}

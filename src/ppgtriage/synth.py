@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import io
-from .config import check_finite, from_document
+from .config import RunConfig, check_finite, from_document
 from .errors import ConfigError
 from .io import Recording
 from .utils import pmap
@@ -239,8 +239,10 @@ def _synth_and_write(task: tuple, out_dir: str) -> dict:
 
 def synth_cohort_to_dir(spec: CohortSpec, out_dir: Path | str,
                         workers: int | None = 1) -> Path:
-    """Generate a cohort straight to disk (manifest + sample files)."""
+    """Generate a cohort straight to disk (manifest + sample files). A bad
+    spec or worker count raises ConfigError."""
     spec.validate()
+    RunConfig(workers=workers).validate()
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     tasks = [(spec, label, idx) for idx, label in enumerate(cohort_labels(spec))]

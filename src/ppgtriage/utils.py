@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import ctypes
 import os
-from concurrent.futures import ProcessPoolExecutor
 
 # Thread-count setters exported by OpenBLAS builds: the scipy-openblas wheels
 # (64- and 32-bit integer interfaces) and a plain system OpenBLAS.
@@ -13,9 +12,11 @@ _BLAS_THREAD_SETTERS = ("scipy_openblas_set_num_threads64_",
 
 
 def resolve_workers(workers: int | None) -> int:
+    """`workers` as an int, or one per CPU for None; entry points have
+    checked the count against `RunConfig`'s bounds."""
     if workers is None:
         return os.cpu_count() or 1
-    return max(1, int(workers))
+    return int(workers)
 
 
 def single_thread_blas() -> None:
@@ -45,9 +46,17 @@ def single_thread_blas() -> None:
 
 
 def pmap(fn, items: list, workers: int | None = 1) -> list:
-    """Map preserving input order; results are identical for any worker count."""
-    workers = resolve_workers(workers)
-    if workers <= 1 or len(items) <= 1:
+    """Map preserving input order; results are identical for any worker count.
+
+    A pool starts only for two or more items and workers, with one process
+    per item up to `workers` (a pool starts all its processes at once, so an
+    idle one would only cost its start-up). Otherwise the items run in this
+    process, and `concurrent.futures` is never imported.
+    """
+    workers = min(resolve_workers(workers), len(items))
+    if workers <= 1:
         return [fn(item) for item in items]
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers, initializer=single_thread_blas) as executor:
         return list(executor.map(fn, items))

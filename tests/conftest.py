@@ -1,11 +1,40 @@
+import concurrent.futures
+
 import numpy as np
 import pytest
 
+from ppgtriage import utils
 from ppgtriage.config import RunConfig
 from ppgtriage.features import FEATURE_FAMILIES, FEATURE_NAMES, FeatureMatrix
 from ppgtriage.fiducials import MIN_BEAT_S, BeatSpan
 from ppgtriage.pipeline import extract_matrix
 from ppgtriage.synth import BeatModel, separated_cohort_spec, synth_beat, synth_cohort
+
+
+@pytest.fixture
+def pool_requests(monkeypatch):
+    """Replace the process pool, wherever `pmap` can look it up, by one that
+    maps in this process, so that no real pool starts whatever the code under
+    test asks for. Returns the `max_workers` of every pool asked for."""
+    requests = []
+
+    class InProcessPool:
+        def __init__(self, max_workers=None, initializer=None):
+            requests.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    # also where a module-level import would have bound the name
+    monkeypatch.setattr(utils, "ProcessPoolExecutor", InProcessPool, raising=False)
+    return requests
 
 
 @pytest.fixture(scope="session")

@@ -114,6 +114,20 @@ def auroc_pairwise(scores, labels):
     return total / (len(pos) * len(neg))
 
 
+def mean_by_patient_reference(pids, proba, labels):
+    """Each patient's mean score (one `mean` of that patient's scores) and the
+    label of their first row, patients in sorted id order."""
+    order = np.argsort(pids, kind="stable")
+    uniq, start = np.unique(pids[order], return_index=True)
+    scores, labs = [], []
+    boundaries = list(start) + [len(pids)]
+    for k in range(len(uniq)):
+        rows = order[boundaries[k]:boundaries[k + 1]]
+        scores.append(float(proba[rows].mean()))
+        labs.append(int(labels[rows[0]]))
+    return np.array(scores), np.array(labs)
+
+
 def roc_vertices(scores, labels):
     """ROC vertices by brute force: (0, 0), then one (fpr, tpr) point per
     distinct score from the highest down; points with equal fpr merge into

@@ -345,3 +345,48 @@ def test_extract_manifest_that_is_not_utf8_is_data_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error[data]:") and str(manifest) in err and err.count("\n") == 1
     assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("workers", ["100000", "257", "0", "-1"])
+@pytest.mark.parametrize("command", ["synth", "extract", "evaluate"])
+def test_workers_out_of_range_is_config_error(pool_requests, cohort_dir, extracted_dir,
+                                              tmp_path, capsys, command, workers):
+    """Every command holds --workers to the config rule, 1 to MAX_WORKERS, and
+    stops before any pool is asked for."""
+    source = {"synth": ["--spec", _write(tmp_path / "spec.json", TINY_SPEC)],
+              "extract": ["--manifest", str(cohort_dir / "manifest.json")],
+              "evaluate": ["--matrix", str(extracted_dir / "features.csv"), "--seed", "1"]}
+    capsys.readouterr()
+    code = main([command, *source[command], "--out", str(tmp_path / "x"),
+                 "--workers", workers])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error[config]: workers must be in [1, 256]") and workers in err
+    assert err.count("\n") == 1
+    assert pool_requests == []
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("content, key", [
+    ('{"windows_total": NaN}', "windows_total"),
+    ('{"kept": 1e400}', "kept"),
+    ('{"recordings": [{"windows": [{"sqi": 0.9}, {"sqi": -Infinity}]}]}',
+     "recordings[0].windows[1].sqi"),
+])
+def test_evaluate_non_finite_screening_log_is_data_error(extracted_dir, tmp_path, capsys,
+                                                         monkeypatch, content, key):
+    """The report embeds the screening log and holds finite numbers only, so a
+    non-finite log is refused when it is read, before any fit."""
+    def no_fit(*args, **kwargs):
+        raise AssertionError("evaluation ran")
+
+    monkeypatch.setattr("ppgtriage.cli.run_experiment", no_fit)
+    screening = tmp_path / "screening.json"
+    screening.write_text(content)
+    code = main(["evaluate", "--matrix", str(extracted_dir / "features.csv"), "--seed", "1",
+                 "--screening", str(screening), "--out", str(tmp_path / "x")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error[data]: screening log {screening}: key '{key}'")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "x").exists()

@@ -8,12 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ppgtriage.config import VALID_FAMILIES, VALID_METRIC_LEVELS, RunConfig, config_from_dict
+from ppgtriage.config import (MAX_WORKERS, VALID_FAMILIES, VALID_METRIC_LEVELS, RunConfig,
+                              config_from_dict)
 from ppgtriage.errors import ConfigError
 from ppgtriage.evaluate import plan_splits, run_experiment
 from ppgtriage.model import fit_logistic, rfe, train_model
+from ppgtriage.pipeline import extract_matrix
 from ppgtriage.preprocess import compute_sqi, design_bandpass, segment_windows
-from ppgtriage.synth import ClassParams, CohortSpec, spec_from_dict
+from ppgtriage.synth import ClassParams, CohortSpec, spec_from_dict, synth_cohort_to_dir
 
 from .conftest import random_beat_model
 
@@ -36,6 +38,23 @@ def test_integral_values_are_accepted():
     assert (cfg.n_iter, cfg.seed, cfg.workers) == (3, 7, 2)
     assert isinstance(cfg.n_iter, int)
     assert (cfg.lam, cfg.window_s) == (2.0, 20.0)
+
+
+@pytest.mark.parametrize("workers", [0, -1, MAX_WORKERS + 1, 100000])
+def test_workers_outside_one_to_max_workers_is_config_error(pool_requests, small_cohort,
+                                                            tmp_path, workers):
+    """The config file and the library entry points share the bound, and fail
+    before any pool is asked for."""
+    assert config_from_dict({"workers": MAX_WORKERS}).workers == 256
+    with pytest.raises(ConfigError, match=r"workers must be in \[1, 256\]"):
+        config_from_dict({"workers": workers})
+    with pytest.raises(ConfigError, match="workers"):
+        extract_matrix(small_cohort, RunConfig(), workers=workers)
+    with pytest.raises(ConfigError, match="workers"):
+        synth_cohort_to_dir(CohortSpec(n_positive=2, n_negative=2, duration_s=10.0, seed=1),
+                            tmp_path / "c", workers=workers)
+    assert pool_requests == []
+    assert not (tmp_path / "c").exists()
 
 
 @pytest.mark.parametrize("key", ["lambda", "window_s"])

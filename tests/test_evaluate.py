@@ -5,15 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ppgtriage import evaluate
 from ppgtriage.errors import ConfigError, DataError, EvaluationError
-from ppgtriage.evaluate import (auroc, choose_threshold, confusion_metrics, export_distributions,
-                                labels_by_patient, plan_splits, roc_on_grid, roc_points,
-                                run_experiment, shuffle_patient_labels)
+from ppgtriage.evaluate import (STACK_ELEMENTS, _mean_by_patient, auroc, choose_threshold,
+                                confusion_metrics, export_distributions, labels_by_patient,
+                                plan_splits, roc_on_grid, roc_points, run_experiment,
+                                shuffle_patient_labels)
 from ppgtriage.io import read_report, write_report
 from ppgtriage.model import predict_proba, train_model
 
 from .conftest import synthetic_feature_matrix
-from .oracles import auroc_pairwise, confusion_reference, roc_vertices, youden_scan
+from .oracles import (auroc_pairwise, confusion_reference, mean_by_patient_reference,
+                      roc_vertices, youden_scan)
 
 
 def _paper_shaped_labels():
@@ -307,6 +310,67 @@ def test_run_experiment_worker_count_invariant(seed, n_pos, n_neg, windows, shif
     assert runs[0] == runs[1] == runs[2]
 
 
+@pytest.mark.parametrize("n_iter, workers, chunks", [
+    (13, 2, [13]), (13, 8, [13]), (14, 1, [13, 1]), (14, 2, [7, 7]), (14, 3, [5, 5, 4]),
+    (30, 2, [13, 13, 4]),
+])
+def test_plan_is_one_chunk_when_every_split_fits_in_one_stack(monkeypatch, n_iter, workers,
+                                                               chunks):
+    """280 rows x 72 columns: one stack holds 13 splits. A plan of at most 13
+    is one chunk, which pmap runs in this process; a larger one is one chunk
+    per worker, each at most one stack."""
+    class Planned(Exception):
+        pass
+
+    def stop(fn, items, workers=1):
+        raise Planned([len(item) for item in items], workers)
+
+    matrix = synthetic_feature_matrix(n_pos=6, n_neg=8, windows=20, seed=3)
+    assert STACK_ELEMENTS // (matrix.n_rows * 72) == 13
+    monkeypatch.setattr(evaluate, "pmap", stop)
+    with pytest.raises(Planned) as planned:
+        run_experiment(matrix, n_iter=n_iter, seed=1, families=("MOR", "ALL"), workers=workers)
+    assert planned.value.args == (chunks, workers)
+
+
+def test_pool_plan_is_worker_count_invariant(monkeypatch):
+    """A plan larger than one stack runs in a real pool at 2 and 3 workers
+    and gives the report of the in-process run at 1 worker."""
+    matrix = synthetic_feature_matrix(n_pos=6, n_neg=8, windows=20, seed=50)
+    rng = np.random.default_rng(51)
+    matrix.values[rng.random(matrix.values.shape) < 0.002] = np.nan
+    chunks = []
+    original = evaluate.pmap
+
+    def spy(fn, items, workers=1):
+        chunks.append(len(items))
+        return original(fn, items, workers=workers)
+
+    monkeypatch.setattr(evaluate, "pmap", spy)
+    reports = [run_experiment(matrix, n_iter=14, seed=52, workers=w).to_dict()
+               for w in (1, 2, 3)]
+    assert chunks == [2, 2, 3]
+    assert reports[0] == reports[1] == reports[2]
+
+
+@settings(max_examples=200, deadline=None)
+@given(counts=st.lists(st.integers(1, 25), min_size=1, max_size=12),
+       seed=st.integers(0, 2**32 - 1))
+def test_patient_means_match_the_per_patient_loop(counts, seed):
+    """Bit for bit, for window counts on both sides of numpy's 8-element
+    pairwise-summation block, with patients and windows in shuffled order."""
+    rng = np.random.default_rng(seed)
+    names = rng.permutation([f"P{i:02d}" for i in range(len(counts))])
+    pids = np.repeat(names, counts)
+    labels = np.repeat(rng.integers(0, 2, len(counts)), counts)
+    proba = rng.random(len(pids)) * 10.0 ** rng.integers(-6, 7, len(pids))
+    perm = rng.permutation(len(pids))
+    scores, labs = _mean_by_patient(pids[perm], proba[perm], labels[perm])
+    want_scores, want_labs = mean_by_patient_reference(pids[perm], proba[perm], labels[perm])
+    assert scores.tobytes() == want_scores.tobytes()
+    assert labs.tolist() == want_labs.tolist()
+
+
 def test_report_written_and_read_back_equal(tmp_path):
     matrix = synthetic_feature_matrix(seed=20)
     report = run_experiment(matrix, n_iter=3, seed=21, screening={"windows_total": 120,
@@ -352,7 +416,8 @@ def test_auroc_matches_rankdata_formula_exactly(scores, data):
 
 @pytest.mark.parametrize("bad", [{"n_iter": 0}, {"rfe_k": 0}, {"lam": -1.0}, {"families": ()},
                                  {"metric_level": "x"}, {"seed": -1}, {"seed": None},
-                                 {"lam": float("nan")}, {"lam": float("inf")}],
+                                 {"lam": float("nan")}, {"lam": float("inf")}, {"workers": 0},
+                                 {"workers": 257}],
                          ids=lambda bad: "-".join(f"{k}={v}" for k, v in bad.items()))
 def test_run_experiment_rejects_what_the_config_rejects(bad):
     matrix = synthetic_feature_matrix(n_pos=4, n_neg=6, windows=4, seed=30)

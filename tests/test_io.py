@@ -189,3 +189,15 @@ def test_unreadable_report_is_data_error(tmp_path, content):
     path.write_bytes(content)
     with pytest.raises(DataError, match=f"report {re.escape(str(path))}"):
         read_report(path)
+
+
+@pytest.mark.parametrize("doc, key", [
+    ({"config": {}}, "class_counts"),
+    ({"class_counts": {}, "families": {}}, "config"),
+    ({"config": {}, "class_counts": {}}, "families"),
+])
+def test_report_missing_a_required_key_is_data_error(tmp_path, doc, key):
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(DataError, match=f"report {re.escape(str(path))} lacks the key '{key}'"):
+        read_report(path)

@@ -317,3 +317,27 @@ def test_fit_rfe_and_train_reject_a_non_finite_lam(lam):
                 lambda: fit_logistic(np.stack([X, X]), np.stack([y, y]), lam=lam)):
         with pytest.raises(ValueError, match="lam"):
             fit()
+
+
+def test_line_search_shortens_a_step_that_falls_short_of_the_armijo_margin():
+    """From w = -3.2754 on this symmetric problem the full Newton step lowers
+    the loss, by about half of what the Armijo condition (decrease of at least
+    1e-4 x step x slope) asks, so the line search must take a shorter step."""
+    x = np.repeat([1.0, -1.0], 10)[:, None]
+    y = np.array([1.0] * 9 + [0.0] + [0.0] * 9 + [1.0])
+    lam, w0 = 0.01, -3.2754
+    loss0, grad_coef, grad_intercept = logistic_loss_grad(np.array([w0]), 0.0, x, y, lam)
+    grad = np.append(grad_coef, grad_intercept)
+    p = 1.0 / (1.0 + np.exp(-w0 * x[:, 0]))
+    w = p * (1.0 - p) / len(y)
+    H = np.array([[x[:, 0] @ (x[:, 0] * w) + lam, (x[:, 0] * w).sum()],
+                  [(x[:, 0] * w).sum(), w.sum()]])
+    direction = -np.linalg.solve(H, grad)
+    slope = grad @ direction
+    full = logistic_loss_grad(w0 + direction[:1], direction[1], x, y, lam)[0]
+    assert loss0 + 1e-4 * slope < full < loss0
+
+    coef, intercept, _ = fit_logistic(x, y, lam=lam, max_iter=1, start=(np.array([w0]), 0.0))
+    step = (coef[0] - w0) / direction[0]
+    assert step == pytest.approx(0.5, rel=1e-9)
+    assert logistic_loss_grad(coef, intercept, x, y, lam)[0] <= loss0 + 1e-4 * step * slope

@@ -7,6 +7,8 @@ import pytest
 
 from ppgtriage import utils
 
+from .conftest import synthetic_feature_matrix
+
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
@@ -44,6 +46,33 @@ def test_synth_path_loads_no_scipy(tmp_path):
     """)
     assert run.returncode == 0, run.stderr
     assert (tmp_path / "c" / "manifest.json").is_file()
+
+
+def test_evaluate_in_process_loads_no_pool_or_synth_modules(tmp_path):
+    """A plan that fits in one stack runs in the CLI's own process, whatever
+    --workers says, and `evaluate` imports neither the pool nor the generator."""
+    synthetic_feature_matrix(n_pos=4, n_neg=6, windows=2, seed=3).to_csv(tmp_path / "m.csv")
+    run = _run(f"""
+        import sys
+        from ppgtriage import cli
+        code = cli.main(["evaluate", "--matrix", {str(tmp_path / "m.csv")!r}, "--seed", "1",
+                         "--out", {str(tmp_path / "r")!r}, "--workers", "2"])
+        assert code == 0, code
+        loaded = [m for m in ("concurrent.futures", "multiprocessing", "ppgtriage.synth")
+                  if m in sys.modules]
+        assert not loaded, loaded
+    """)
+    assert run.returncode == 0, run.stderr
+    assert (tmp_path / "r" / "report.json").is_file()
+
+
+@pytest.mark.parametrize("workers, n_items, pool", [
+    (4, 3, 3), (2, 50, 2), (3, 2, 2), (1, 5, None), (8, 1, None), (8, 0, None),
+])
+def test_pmap_starts_one_process_per_item_up_to_workers(pool_requests, workers, n_items, pool):
+    items = list(range(n_items))
+    assert utils.pmap(abs, items, workers=workers) == items
+    assert pool_requests == ([] if pool is None else [pool])
 
 
 def test_package_exports_resolve():
