@@ -73,7 +73,7 @@ def _effective_workers(cli_workers: int | None, config: RunConfig) -> int | None
 
 
 def cmd_synth(args) -> int:
-    from .synth import spec_from_dict
+    from .synth import cohort_labels, spec_from_dict
 
     doc = read_json_object(args.spec, "cohort spec", ConfigError)
     if args.seed is None and "seed" not in doc:
@@ -82,10 +82,10 @@ def cmd_synth(args) -> int:
     if args.seed is not None:
         spec.seed = args.seed
     manifest = synth_cohort_to_dir(spec, args.out, workers=args.workers)
-    n_sm = spec.n_negative // 2
-    n_nl = spec.n_negative - n_sm
+    labels = cohort_labels(spec)
     print(f"wrote {spec.n_positive} C1 / {spec.n_negative} C0 recordings "
-          f"({spec.n_positive} LVO, {n_nl} NL, {n_sm} SM) to {manifest.parent}")
+          f"({labels.count('LVO')} LVO, {labels.count('NL')} NL, {labels.count('SM')} SM) "
+          f"to {manifest.parent}")
     return 0
 
 

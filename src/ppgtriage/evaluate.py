@@ -48,22 +48,15 @@ STACK_ELEMENTS = 1 << 18
 _CATALOG_POSITION = {f.name: i for i, f in enumerate(CATALOG)}
 
 
-@dataclass
-class SplitPlan:
-    """Patient-level train/test assignments for every iteration."""
-
-    seed: int
-    train_fraction: float
-    iterations: list[dict]      # {"train": tuple[str, ...], "test": tuple[str, ...]}
-
-
 def plan_splits(labels_by_patient: dict[str, int],
                 train_fraction: float = RunConfig.train_fraction,
-                n_iter: int = RunConfig.n_iter, seed: int = 0) -> SplitPlan:
+                n_iter: int = RunConfig.n_iter, seed: int = 0) -> list[dict]:
     """Stratified patient splits: per class, test receives ceil((1-frac)*count).
 
-    Deterministic for a fixed seed; each iteration shuffles with its own
-    substream so iterations can be evaluated in any order.
+    Returns one {"train": ids, "test": ids} dict per iteration, each side a
+    sorted tuple of patient ids. Deterministic for a fixed seed; each
+    iteration shuffles with its own substream so iterations can be evaluated
+    in any order.
     """
     if seed is None:
         raise ConfigError("a seed is required")
@@ -76,7 +69,7 @@ def plan_splits(labels_by_patient: dict[str, int],
         if len(pids) < 2:
             raise EvaluationError(
                 f"class {cls} has {len(pids)} patient(s); need at least 2 per class")
-    iterations = []
+    splits = []
     for it in range(n_iter):
         rng = np.random.default_rng([seed, it])
         train: list[str] = []
@@ -87,8 +80,8 @@ def plan_splits(labels_by_patient: dict[str, int],
             n_test = min(max(n_test, 1), len(perm) - 1)
             test.extend(perm[:n_test])
             train.extend(perm[n_test:])
-        iterations.append({"train": tuple(sorted(train)), "test": tuple(sorted(test))})
-    return SplitPlan(seed=seed, train_fraction=train_fraction, iterations=iterations)
+        splits.append({"train": tuple(sorted(train)), "test": tuple(sorted(test))})
+    return splits
 
 
 def _average_ranks(values: np.ndarray) -> np.ndarray:
@@ -208,25 +201,6 @@ def labels_by_patient(matrix: FeatureMatrix) -> dict[str, int]:
             raise DataError(f"patient '{pid}' has inconsistent labels across windows")
         out[pid] = label
     return out
-
-
-def shuffle_patient_labels(matrix: FeatureMatrix, seed: int) -> FeatureMatrix:
-    """Permute the patient-to-label assignment (windows follow their patient).
-
-    This breaks any real association while preserving class counts, giving a
-    chance-level reference run.
-    """
-    by_pid = labels_by_patient(matrix)
-    pids = sorted(by_pid)
-    rng = np.random.default_rng(seed)
-    permuted = rng.permutation([by_pid[p] for p in pids])
-    new_map = {pid: int(lab) for pid, lab in zip(pids, permuted)}
-    new_labels = np.array([new_map[p] for p in matrix.patient_ids], dtype=np.int64)
-    return FeatureMatrix(feature_names=list(matrix.feature_names),
-                         families=list(matrix.families),
-                         patient_ids=list(matrix.patient_ids),
-                         window_indices=list(matrix.window_indices),
-                         labels=new_labels, values=matrix.values)
 
 
 def _metrics_block(scores: np.ndarray, labels: np.ndarray,
@@ -368,8 +342,7 @@ def _summary_row(family: str, aggregated: dict | None) -> dict:
     return row
 
 
-def export_distributions(matrix: FeatureMatrix, feature_names: list[str],
-                         bins: int = DISTRIBUTION_BINS) -> dict:
+def export_distributions(matrix: FeatureMatrix, feature_names: list[str]) -> dict:
     """Per-class normalized histograms over a pooled fixed-bin range."""
     out = {}
     name_to_col = {n: i for i, n in enumerate(matrix.feature_names)}
@@ -380,17 +353,17 @@ def export_distributions(matrix: FeatureMatrix, feature_names: list[str],
         finite = np.isfinite(col)
         pooled = col[finite]
         if len(pooled) == 0:
-            edges = np.linspace(0.0, 1.0, bins + 1)
+            edges = np.linspace(0.0, 1.0, DISTRIBUTION_BINS + 1)
         else:
             lo, hi = float(pooled.min()), float(pooled.max())
             if lo == hi:
                 lo, hi = lo - 0.5, hi + 0.5
-            edges = np.linspace(lo, hi, bins + 1)
+            edges = np.linspace(lo, hi, DISTRIBUTION_BINS + 1)
         entry = {"edges": [float(v) for v in edges]}
         for cls, key in ((1, "C1"), (0, "C0")):
             vals = col[finite & (matrix.labels == cls)]
             counts = np.histogram(vals, bins=edges)[0]
-            mass = counts / len(vals) if len(vals) else np.zeros(bins)
+            mass = counts / len(vals) if len(vals) else np.zeros(DISTRIBUTION_BINS)
             entry[key] = [float(v) for v in mass]
             entry[f"n_{key}"] = int(len(vals))
         out[name] = entry
@@ -443,7 +416,7 @@ def run_experiment(matrix: FeatureMatrix, *, n_iter: int = RunConfig.n_iter,
     if matrix.n_rows == 0:
         raise EvaluationError("feature matrix has no rows")
     by_patient = labels_by_patient(matrix)
-    plan = plan_splits(by_patient, train_fraction=train_fraction, n_iter=n_iter, seed=seed)
+    splits = plan_splits(by_patient, train_fraction=train_fraction, n_iter=n_iter, seed=seed)
 
     # One chunk when every split fits in one stack (pmap then runs it here);
     # otherwise one contiguous chunk per worker, each at most one stack.
@@ -451,7 +424,7 @@ def run_experiment(matrix: FeatureMatrix, *, n_iter: int = RunConfig.n_iter,
     stack = max(1, STACK_ELEMENTS // max(per_split, 1))
     size = n_iter if n_iter <= stack else min(math.ceil(n_iter / resolve_workers(workers)),
                                               stack)
-    chunks = [plan.iterations[i:i + size] for i in range(0, n_iter, size)]
+    chunks = [splits[i:i + size] for i in range(0, n_iter, size)]
     worker = partial(_evaluate_splits, matrix=matrix, families=families,
                      lam=lam, rfe_k=rfe_k, metric_level=metric_level)
     iteration_results = [res for chunk in pmap(worker, chunks, workers=workers)
@@ -467,7 +440,7 @@ def run_experiment(matrix: FeatureMatrix, *, n_iter: int = RunConfig.n_iter,
             if r["degenerate"] is None:
                 selection.update(r["selected_features"])
         ordered = sorted(selection.items(),
-                         key=lambda kv: (-kv[1], _CATALOG_POSITION.get(kv[0], 1_000_000)))
+                         key=lambda kv: (-kv[1], _CATALOG_POSITION[kv[0]]))
         block = {
             "iterations": results,
             "degenerate_iterations": degenerate,
@@ -501,10 +474,6 @@ def run_experiment(matrix: FeatureMatrix, *, n_iter: int = RunConfig.n_iter,
                       screening=screening, distributions=distributions)
 
 
-def _top_features(family_blocks: dict, families: tuple[str, ...],
-                  top: int = TOP_FEATURES) -> list[str]:
-    source = "ALL" if "ALL" in family_blocks else (families[0] if families else None)
-    if source is None:
-        return []
-    freq = family_blocks[source]["selection_frequency"]
-    return list(freq)[:top]
+def _top_features(family_blocks: dict, families: tuple[str, ...]) -> list[str]:
+    source = "ALL" if "ALL" in family_blocks else families[0]
+    return list(family_blocks[source]["selection_frequency"])[:TOP_FEATURES]

@@ -158,18 +158,13 @@ def mor_matrix(y: np.ndarray, lengths: np.ndarray, fs: float,
     return out
 
 
-def mor_features_per_beat(beat: np.ndarray, fs: float, fid: FiducialSet,
-                          derivatives: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
-                          ) -> dict[str, float]:
+def mor_features_per_beat(beat: np.ndarray, fs: float, fid: FiducialSet) -> dict[str, float]:
     """Morphology features for one beat; NaN where a landmark is absent."""
     from .fiducials import ABSENT, smooth_derivatives
 
     y = np.asarray(beat, dtype=np.float64)
-    if derivatives is None:
-        # only the landmarks of a located beat read the second derivative
-        d2 = smooth_derivatives(y, fs)[1] if fid.sp is not None else np.zeros_like(y)
-    else:
-        d2 = np.asarray(derivatives[1], dtype=np.float64)
+    # only the landmarks of a located beat read the second derivative
+    d2 = smooth_derivatives(y, fs)[1] if fid.sp is not None else np.zeros_like(y)
     landmarks = {name: np.array([ABSENT if idx is None else idx])
                  for name, idx in fid.as_dict().items()}
     row = mor_matrix(y[None], np.array([len(y)]), fs, landmarks, d2[None])[0]
@@ -283,6 +278,9 @@ class FeatureMatrix:
             unknown = [n for n in names if n not in FEATURE_NAMES]
             if unknown:
                 raise DataError(f"feature matrix {path}: unknown features {unknown[:5]}")
+            repeated = sorted({n for n in names if names.count(n) > 1})
+            if repeated:
+                raise DataError(f"feature matrix {path}: repeated feature columns {repeated}")
             by_name = {f.name: f.family for f in CATALOG}
             pids, widxs, labels, rows = [], [], [], []
             for lineno, row in enumerate(reader, start=2):
@@ -293,6 +291,9 @@ class FeatureMatrix:
                     values = [float(v) if v != "" else np.nan for v in row[3:]]
                 except ValueError as exc:
                     raise DataError(f"feature matrix {path}: line {lineno}: {exc}") from None
+                if label not in (0, 1):
+                    raise DataError(f"feature matrix {path}: line {lineno}: label must be "
+                                    f"0 or 1, got {label}")
                 pids.append(row[0])
                 widxs.append(widx)
                 labels.append(label)

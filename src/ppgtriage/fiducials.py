@@ -334,19 +334,12 @@ def locate_batch(batch: BeatBatch) -> dict[str, np.ndarray]:
             "u": u, "v": v, "w": w, "p1": p1, "p2": d}
 
 
-def locate_fiducials(beat: np.ndarray, fs: float,
-                     derivatives: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
-                     ) -> FiducialSet:
+def locate_fiducials(beat: np.ndarray, fs: float) -> FiducialSet:
     """Locate all landmarks on one beat (samples from onset to next onset).
 
     Indices are relative to the beat onset. Landmarks that cannot be located
     are left as None; a pure-noise beat yields an all-absent set, not an error.
     """
-    beat = np.asarray(beat, dtype=np.float64)
-    if derivatives is None:
-        batch = beat_batch([beat], fs)
-    else:
-        batch = BeatBatch(fs, beat[None], np.array([len(beat)]), _smooth(beat, fs)[None],
-                          *(np.asarray(d, dtype=np.float64)[None] for d in derivatives))
+    batch = beat_batch([np.asarray(beat, dtype=np.float64)], fs)
     return FiducialSet(**{name: None if idx[0] == ABSENT else int(idx[0])
                           for name, idx in locate_batch(batch).items()})

@@ -45,8 +45,8 @@ LINE_SEARCH_TRIALS = 60
 class Standardizer:
     """Per-feature z-scoring statistics estimated on training rows only.
 
-    Zero-variance features cannot be standardized and are dropped (recorded in
-    `dropped`); `apply` returns only the kept columns.
+    Zero-variance features cannot be standardized and are dropped; `apply`
+    returns only the kept columns, named by `kept_names`.
     """
 
     feature_names: list[str]
@@ -57,10 +57,6 @@ class Standardizer:
     @property
     def kept_names(self) -> list[str]:
         return [n for n, keep in zip(self.feature_names, self.kept_mask) if keep]
-
-    @property
-    def dropped(self) -> list[str]:
-        return [n for n, keep in zip(self.feature_names, self.kept_mask) if not keep]
 
     def apply(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)
@@ -103,15 +99,6 @@ def _first(diagnostics: dict) -> dict:
     """The diagnostics of a stack of one, with its per-problem arrays as scalars."""
     return {key: value[0].item() if isinstance(value, np.ndarray) else value
             for key, value in diagnostics.items()}
-
-
-def logistic_loss_grad(coef: np.ndarray, intercept: float, X: np.ndarray, y: np.ndarray,
-                       lam: float) -> tuple[float, np.ndarray, float]:
-    """Mean negative log-likelihood + (lam/2)*||coef||^2 and its exact gradient."""
-    loss, grad_coef, grad_intercept, _ = _loss_grad_proba(
-        np.asarray(coef, dtype=np.float64)[None], np.array([intercept], dtype=np.float64),
-        np.asarray(X, dtype=np.float64)[None], np.asarray(y, dtype=np.float64)[None], lam)
-    return float(loss[0]), grad_coef[0], float(grad_intercept[0])
 
 
 def _loss_grad_proba(coef: np.ndarray, intercept: np.ndarray, X: np.ndarray, y: np.ndarray,
@@ -274,8 +261,8 @@ class LogisticModel:
     feature_names: list[str]       # selected features, catalog order
     coef: np.ndarray               # one per selected feature, standardized scale
     intercept: float
-    lam: float
     standardizer: Standardizer
+    columns: np.ndarray            # each selected feature's column in standardizer.apply(X)
     diagnostics: dict = field(default_factory=dict)
 
 
@@ -350,12 +337,11 @@ def train_model(X: np.ndarray, y: np.ndarray, feature_names: list[str],
             diagnostics = {"loss": float(fit["loss"][j]), "converged": bool(fit["converged"][j]),
                            "grad_norm": float(fit["grad_norm"][j]),
                            "selected_all": fit["selected_all"]}
-            if standardizers[i].dropped:
-                diagnostics["dropped_features"] = standardizers[i].dropped
-            diagnostics["selected_columns"] = [kept_names.index(n) for n in selected[j]]
+            columns = np.array([kept_names.index(n) for n in selected[j]], dtype=int)
             models[i] = LogisticModel(feature_names=selected[j], coef=coef[j],
-                                      intercept=float(intercept[j]), lam=lam,
-                                      standardizer=standardizers[i], diagnostics=diagnostics)
+                                      intercept=float(intercept[j]),
+                                      standardizer=standardizers[i], columns=columns,
+                                      diagnostics=diagnostics)
     return models[0] if single else models
 
 
@@ -366,13 +352,7 @@ def predict_proba(model: LogisticModel, X: np.ndarray) -> np.ndarray:
     if X.shape[1] != len(model.standardizer.feature_names):
         raise DataError(
             f"expected {len(model.standardizer.feature_names)} columns, got {X.shape[1]}")
-    Xs = model.standardizer.apply(X)
-    kept_names = model.standardizer.kept_names
-    sel = np.array([kept_names.index(n) for n in model.feature_names], dtype=int)
-    Xsel = Xs[:, sel] if len(sel) else np.empty((X.shape[0], 0))
-    z = Xsel @ model.coef + model.intercept
-    proba = _sigmoid(z)
-    if len(sel):
-        missing = ~np.all(np.isfinite(Xsel), axis=1)
-        proba[missing] = np.nan
+    Xsel = model.standardizer.apply(X)[:, model.columns]
+    proba = _sigmoid(Xsel @ model.coef + model.intercept)
+    proba[~np.all(np.isfinite(Xsel), axis=1)] = np.nan
     return proba

@@ -22,16 +22,14 @@ from .fiducials import (detect_beats, locate_batch, locate_fiducials, smooth_der
                         window_beats)
 from .io import Recording, load_manifest, load_recording, write_samples
 from .preprocess import compute_sqi, design_bandpass, filter_recording, segment_windows
-from .synth import synth_cohort_to_dir, synth_recording
+from .synth import synth_recording
 from .utils import pmap
 
-# write_samples, synth_recording and synth_cohort_to_dir are re-exported for
-# callers and instrumentation that look them up here, as are the per-beat
-# smooth_derivatives, locate_fiducials, mor_features_per_beat and
-# aggregate_window_mor, which extraction no longer calls: it runs their window
-# kernels (window_beats, locate_batch, mor_matrix, aggregate_mor) instead. The
-# synth-to-disk code lives in `synth`, which imports no scipy, so `ppgtriage
-# synth` never loads it.
+# write_samples and synth_recording are re-exported for instrumentation that
+# looks them up here, as are the per-beat smooth_derivatives, locate_fiducials,
+# mor_features_per_beat and aggregate_window_mor, which extraction no longer
+# calls: it runs their window kernels (window_beats, locate_batch, mor_matrix,
+# aggregate_mor) instead.
 
 #: screening-entry reason of a recording too short to filter
 TOO_SHORT = "too_short"

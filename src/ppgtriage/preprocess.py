@@ -22,7 +22,7 @@ from scipy import signal as sps
 
 from .config import RunConfig
 from .errors import ConfigError, SignalTooShortError
-from .fiducials import BeatSpan, detect_beats
+from .fiducials import BeatSpan
 from .io import Recording
 
 TEMPLATE_LEN = 100
@@ -44,8 +44,6 @@ class FilterDesign:
     """
 
     fs: float
-    band: tuple[float, float]
-    order: int
     sos: np.ndarray
     settle_len: int         # samples until the step response stays within 1% of final
 
@@ -100,7 +98,7 @@ def design_bandpass(fs: float, low: float = RunConfig.band_low_hz,
             raise ConfigError(f"unstable filter design for fs={fs}, band ({low}, {high})")
     settle_len = _settle_length(sos, fs)
     sos.setflags(write=False)
-    return FilterDesign(fs=fs, band=(low, high), order=order, sos=sos, settle_len=settle_len)
+    return FilterDesign(fs=fs, sos=sos, settle_len=settle_len)
 
 
 def _settle_length(sos: np.ndarray, fs: float) -> int:
@@ -164,11 +162,12 @@ def _template_correlations(x: np.ndarray, spans: list[BeatSpan]) -> np.ndarray:
     return np.where(np.isfinite(corr), corr, 0.0)
 
 
-def compute_sqi(window: Window, spans: list[BeatSpan] | None = None,
+def compute_sqi(window: Window, spans: list[BeatSpan],
                 sqi_threshold: float = RunConfig.sqi_threshold,
                 am_threshold: float = RunConfig.am_threshold,
                 min_beats: int = RunConfig.min_beats) -> SqiResult:
-    """Score one filtered window and decide whether it is usable.
+    """Score one filtered window, whose beats are `spans` (detect_beats of its
+    samples), and decide whether it is usable.
 
     Checks are applied in a fixed order and the first failure names the
     rejection reason: flatline, too few beats, amplitude modulation, then
@@ -179,8 +178,6 @@ def compute_sqi(window: Window, spans: list[BeatSpan] | None = None,
     if len(x) == 0 or np.ptp(x) == 0:
         return SqiResult(score=None, amplitude_modulation_ratio=None, n_beats=0,
                          verdict=REJECT_FLATLINE)
-    if spans is None:
-        spans = detect_beats(x, window.fs)
     if not spans or len(spans) < min_beats:
         return SqiResult(score=None, amplitude_modulation_ratio=None, n_beats=len(spans),
                          verdict=REJECT_TOO_FEW_BEATS)

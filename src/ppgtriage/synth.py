@@ -217,24 +217,23 @@ def cohort_labels(spec: CohortSpec) -> list[str]:
     return labels
 
 
+def _synth_patient(spec: CohortSpec, label: str, index: int) -> Recording:
+    """Patient `index` of the cohort: its id names its label and index, and
+    the index keys its RNG substream."""
+    return synth_recording(spec, label, f"{label}-{index:04d}", stream=index)
+
+
 def synth_cohort(spec: CohortSpec) -> list[Recording]:
     """Generate the full cohort described by spec, deterministically."""
     spec.validate()
-    labels = cohort_labels(spec)
-    recordings = []
-    for idx, label in enumerate(labels):
-        pid = f"{label}-{idx:04d}"
-        recordings.append(synth_recording(spec, label, pid, stream=idx))
-    return recordings
+    return [_synth_patient(spec, label, idx) for idx, label in enumerate(cohort_labels(spec))]
 
 
 def _synth_and_write(task: tuple, out_dir: str) -> dict:
-    spec, label, index = task
-    patient_id = f"{label}-{index:04d}"
     # synth_recording, and io.write_samples inside io.write_recording, are
     # looked up through their modules at call time, so instrumentation that
     # replaces the module attributes sees every call
-    return io.write_recording(synth_recording(spec, label, patient_id, stream=index), out_dir)
+    return io.write_recording(_synth_patient(*task), out_dir)
 
 
 def synth_cohort_to_dir(spec: CohortSpec, out_dir: Path | str,
@@ -263,19 +262,6 @@ def separated_cohort_spec(n_positive: int = 25, n_negative: int = 61,
         mean_hr_bpm=70.0, hr_sd_bpm=3.0)
     return CohortSpec(n_positive=n_positive, n_negative=n_negative, duration_s=duration_s,
                       fs=fs, positive=positive, negative=negative, seed=seed)
-
-
-def matched_cohort_spec(n_positive: int = 25, n_negative: int = 61,
-                        duration_s: float = 600.0, fs: float = 1000.0,
-                        seed: int = 0) -> CohortSpec:
-    """Cohort with identical parameters for both classes: no real signal."""
-    params = ClassParams(beat=BeatModel(1.0, 0.30, 0.10, 0.30, 0.56, 0.06),
-                         mean_hr_bpm=72.0, hr_sd_bpm=2.2)
-    return CohortSpec(n_positive=n_positive, n_negative=n_negative, duration_s=duration_s,
-                      fs=fs, positive=params,
-                      negative=ClassParams(beat=BeatModel(1.0, 0.30, 0.10, 0.30, 0.56, 0.06),
-                                           mean_hr_bpm=72.0, hr_sd_bpm=2.2),
-                      seed=seed)
 
 
 def spec_from_dict(doc: dict, where: str = "cohort spec") -> CohortSpec:

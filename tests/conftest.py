@@ -5,10 +5,13 @@ import pytest
 
 from ppgtriage import utils
 from ppgtriage.config import RunConfig
+from ppgtriage.evaluate import labels_by_patient
 from ppgtriage.features import FEATURE_FAMILIES, FEATURE_NAMES, FeatureMatrix
 from ppgtriage.fiducials import MIN_BEAT_S, BeatSpan
+from ppgtriage.model import _loss_grad_proba
 from ppgtriage.pipeline import extract_matrix
-from ppgtriage.synth import BeatModel, separated_cohort_spec, synth_beat, synth_cohort
+from ppgtriage.synth import (BeatModel, ClassParams, CohortSpec, separated_cohort_spec,
+                             synth_beat, synth_cohort)
 
 
 @pytest.fixture
@@ -126,3 +129,42 @@ def synthetic_feature_matrix(n_pos=12, n_neg=18, windows=4, seed=0, shift=1.5,
                          patient_ids=pids, window_indices=widx,
                          labels=np.array(labels, dtype=np.int64),
                          values=np.array(rows, dtype=np.float64))
+
+
+def matched_cohort_spec(n_positive: int = 25, n_negative: int = 61,
+                        duration_s: float = 600.0, fs: float = 1000.0,
+                        seed: int = 0) -> CohortSpec:
+    """Cohort with identical parameters for both classes: no real signal."""
+    params = ClassParams(beat=BeatModel(1.0, 0.30, 0.10, 0.30, 0.56, 0.06),
+                         mean_hr_bpm=72.0, hr_sd_bpm=2.2)
+    return CohortSpec(n_positive=n_positive, n_negative=n_negative, duration_s=duration_s,
+                      fs=fs, positive=params, negative=params, seed=seed)
+
+
+def shuffle_patient_labels(matrix: FeatureMatrix, seed: int) -> FeatureMatrix:
+    """Permute the patient-to-label assignment (windows follow their patient).
+
+    This breaks any real association while preserving class counts, giving a
+    chance-level reference run.
+    """
+    by_pid = labels_by_patient(matrix)
+    pids = sorted(by_pid)
+    rng = np.random.default_rng(seed)
+    permuted = rng.permutation([by_pid[p] for p in pids])
+    new_map = {pid: int(lab) for pid, lab in zip(pids, permuted)}
+    new_labels = np.array([new_map[p] for p in matrix.patient_ids], dtype=np.int64)
+    return FeatureMatrix(feature_names=list(matrix.feature_names),
+                         families=list(matrix.families),
+                         patient_ids=list(matrix.patient_ids),
+                         window_indices=list(matrix.window_indices),
+                         labels=new_labels, values=matrix.values)
+
+
+def logistic_loss_grad(coef: np.ndarray, intercept: float, X: np.ndarray, y: np.ndarray,
+                       lam: float) -> tuple[float, np.ndarray, float]:
+    """The package's own loss, (lam/2)*||coef||^2 plus the mean negative
+    log-likelihood, and its gradient, for one 2-D problem."""
+    loss, grad_coef, grad_intercept, _ = _loss_grad_proba(
+        np.asarray(coef, dtype=np.float64)[None], np.array([intercept], dtype=np.float64),
+        np.asarray(X, dtype=np.float64)[None], np.asarray(y, dtype=np.float64)[None], lam)
+    return float(loss[0]), grad_coef[0], float(grad_intercept[0])

@@ -14,18 +14,17 @@ import pytest
 
 from ppgtriage.cli import main as cli_main
 from ppgtriage.config import RunConfig
-from ppgtriage.evaluate import (auroc, plan_splits, run_experiment,
-                                shuffle_patient_labels)
+from ppgtriage.evaluate import auroc, plan_splits, run_experiment
 from ppgtriage.features import CATALOG, brv_features, mor_features_per_beat
-from ppgtriage.fiducials import (EXTREMUM_FLOOR, MAX_D2_EXTREMA, edge_guard, locate_fiducials,
-                                 smooth_derivatives)
-from ppgtriage.model import fit_logistic, fit_standardizer, logistic_loss_grad, rfe
+from ppgtriage.fiducials import (EXTREMUM_FLOOR, MAX_D2_EXTREMA, detect_beats, edge_guard,
+                                 locate_fiducials, smooth_derivatives)
+from ppgtriage.model import fit_logistic, fit_standardizer, rfe
 from ppgtriage.pipeline import extract_matrix
 from ppgtriage.preprocess import (REJECT_AMPLITUDE_MODULATION, Window, compute_sqi,
                                   design_bandpass, zero_phase_filter)
 from ppgtriage.synth import separated_cohort_spec, synth_recording, synth_cohort
 
-from .conftest import make_beat, random_beat_model
+from .conftest import logistic_loss_grad, make_beat, random_beat_model, shuffle_patient_labels
 from .oracles import (auroc_pairwise, chain_abcde, poincare_reference, rmssd_reference,
                       sdpp_reference)
 
@@ -75,7 +74,7 @@ def test_criterion_02_fiducial_oracle_suite():
     for _ in range(200):
         beat = make_beat(random_beat_model(rng), period_s=float(rng.uniform(0.72, 0.98)))
         derivatives = smooth_derivatives(beat, FS)
-        fid = locate_fiducials(beat, FS, derivatives)
+        fid = locate_fiducials(beat, FS)
         expected = chain_abcde(derivatives[1], guard, EXTREMUM_FLOOR, MAX_D2_EXTREMA)
         assert {k: getattr(fid, k) for k in "abcde"} == expected
         if all(expected[k] is not None for k in "abcde"):
@@ -207,7 +206,7 @@ def test_criterion_07_leakage_and_protocol():
     labels.update({f"C0-{i:03d}": 0 for i in range(61)})
     plan = plan_splits(labels, n_iter=100, seed=11)
     everyone = set(labels)
-    for it in plan.iterations:
+    for it in plan:
         train, test = set(it["train"]), set(it["test"])
         assert not train & test
         assert train | test == everyone
@@ -215,7 +214,7 @@ def test_criterion_07_leakage_and_protocol():
         assert abs(test_pos - 9) <= 1
         assert abs((len(it["test"]) - test_pos) - 21) <= 1
     again = plan_splits(labels, n_iter=100, seed=11)
-    assert again.iterations == plan.iterations
+    assert again == plan
     _report(7, "no patient leakage over 100 splits; test counts ~9/21; deterministic",
             started)
 
@@ -254,12 +253,12 @@ def test_criterion_09_sqi_screening():
                                      seed=seed)
         rec = synth_recording(spec, "LVO", "P0", 0)
         filtered = zero_phase_filter(rec.samples, design)[:30000]
-        clean = compute_sqi(Window("P0", 0, FS, filtered))
+        clean = compute_sqi(Window("P0", 0, FS, filtered), detect_beats(filtered, FS))
         if clean.kept:
             clean_kept += 1
         modulated = filtered.copy()
         modulated[len(modulated) // 2:] *= 5.0
-        verdict = compute_sqi(Window("P0", 0, FS, modulated))
+        verdict = compute_sqi(Window("P0", 0, FS, modulated), detect_beats(modulated, FS))
         if verdict.verdict == REJECT_AMPLITUDE_MODULATION:
             modulated_rejected += 1
     assert modulated_rejected >= 95

@@ -187,6 +187,33 @@ def test_evaluate_malformed_matrix_cell_is_data_error(extracted_dir, tmp_path, c
     assert len(err.strip().splitlines()) == 1
 
 
+def test_evaluate_rejects_a_patient_labelled_neither_0_nor_1(extracted_dir, tmp_path, capsys):
+    # every window of the first patient labelled 2: such a patient would belong
+    # to neither class and drop out of every split
+    lines = (extracted_dir / "features.csv").read_text().splitlines()
+    first = lines[1].split(",")[0]
+    for i, line in enumerate(lines[1:], start=1):
+        cells = line.split(",")
+        if cells[0] == first:
+            cells[2] = "2"
+            lines[i] = ",".join(cells)
+    path = tmp_path / "bad.csv"
+    path.write_text("\n".join(lines) + "\n")
+    code = main(["evaluate", "--matrix", str(path), "--seed", "1",
+                 "--out", str(tmp_path / "x")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error[data]:") and "line 2" in err and "0 or 1, got 2" in err
+    assert len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "x").exists()
+
+
+def test_synth_prints_the_count_of_each_label(tmp_path, capsys):
+    spec = _write(tmp_path / "spec.json", dict(TINY_SPEC, n_negative=5, duration_s=2.0))
+    assert main(["synth", "--spec", spec, "--out", str(tmp_path / "d")]) == 0
+    assert "recordings (2 LVO, 3 NL, 2 SM) to" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("content", ["{not json", "[1, 2]", "\udcff"])
 def test_evaluate_malformed_screening_is_data_error(extracted_dir, tmp_path, capsys, content):
     screening = tmp_path / "screening.json"

@@ -1,3 +1,4 @@
+import math
 import time
 
 import numpy as np
@@ -9,12 +10,11 @@ from ppgtriage import evaluate
 from ppgtriage.errors import ConfigError, DataError, EvaluationError
 from ppgtriage.evaluate import (STACK_ELEMENTS, _mean_by_patient, auroc, choose_threshold,
                                 confusion_metrics, export_distributions, labels_by_patient,
-                                plan_splits, roc_on_grid, roc_points, run_experiment,
-                                shuffle_patient_labels)
+                                plan_splits, roc_on_grid, roc_points, run_experiment)
 from ppgtriage.io import read_report, write_report
 from ppgtriage.model import predict_proba, train_model
 
-from .conftest import synthetic_feature_matrix
+from .conftest import shuffle_patient_labels, synthetic_feature_matrix
 from .oracles import (auroc_pairwise, confusion_reference, mean_by_patient_reference,
                       roc_vertices, youden_scan)
 
@@ -27,7 +27,7 @@ def _paper_shaped_labels():
 
 def test_split_counts_match_protocol():
     plan = plan_splits(_paper_shaped_labels(), n_iter=10, seed=1)
-    for it in plan.iterations:
+    for it in plan:
         test_pos = sum(1 for p in it["test"] if p.startswith("C1"))
         test_neg = len(it["test"]) - test_pos
         train_pos = sum(1 for p in it["train"] if p.startswith("C1"))
@@ -39,24 +39,40 @@ def test_split_plan_no_leakage_and_coverage():
     labels = _paper_shaped_labels()
     plan = plan_splits(labels, n_iter=25, seed=3)
     everyone = set(labels)
-    for it in plan.iterations:
+    for it in plan:
         train, test = set(it["train"]), set(it["test"])
         assert train & test == set()
         assert train | test == everyone
 
 
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), n_pos=st.integers(2, 30), n_neg=st.integers(2, 30),
+       train_fraction=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+       seed=st.integers(0, 2**32 - 1))
+def test_split_plan_never_leaks_for_any_label_map(data, n_pos, n_neg, train_fraction, seed):
+    ids = data.draw(st.permutations([f"P{i:02d}" for i in range(n_pos + n_neg)]))
+    labels = {pid: int(i < n_pos) for i, pid in enumerate(ids)}
+    plan = plan_splits(labels, train_fraction=train_fraction, n_iter=5, seed=seed)
+    for split in plan:
+        train, test = set(split["train"]), set(split["test"])
+        assert not train & test
+        assert train | test == set(labels)
+        for cls, n in ((1, n_pos), (0, n_neg)):
+            expected = min(max(math.ceil((1 - train_fraction) * n), 1), n - 1)
+            assert sum(labels[pid] == cls for pid in test) == expected
+    assert plan_splits(labels, train_fraction=train_fraction, n_iter=5, seed=seed) == plan
+
+
 def test_split_plan_deterministic_and_seed_sensitive():
     labels = _paper_shaped_labels()
-    assert plan_splits(labels, n_iter=5, seed=7).iterations == \
-           plan_splits(labels, n_iter=5, seed=7).iterations
-    assert plan_splits(labels, n_iter=5, seed=7).iterations != \
-           plan_splits(labels, n_iter=5, seed=8).iterations
+    assert plan_splits(labels, n_iter=5, seed=7) == plan_splits(labels, n_iter=5, seed=7)
+    assert plan_splits(labels, n_iter=5, seed=7) != plan_splits(labels, n_iter=5, seed=8)
 
 
 def test_split_three_per_class():
     labels = {"a": 1, "b": 1, "c": 1, "x": 0, "y": 0, "z": 0}
     plan = plan_splits(labels, n_iter=6, seed=0)
-    for it in plan.iterations:
+    for it in plan:
         test_pos = sum(labels[p] for p in it["test"])
         assert test_pos == 1 and len(it["test"]) == 2
 
@@ -468,7 +484,7 @@ def test_stacked_splits_match_per_split_training():
         names = [matrix.feature_names[c] for c in cols]
         X = matrix.values[:, cols]
         finite = np.all(np.isfinite(X), axis=1)
-        for it, split in enumerate(plan.iterations):
+        for it, split in enumerate(plan):
             result = reports[0]["families"][family]["iterations"][it]
             assert result["degenerate"] is None
             tr = np.isin(pid_arr, split["train"]) & finite

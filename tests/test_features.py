@@ -38,10 +38,9 @@ def test_catalog_invariants():
 def test_extractors_return_exactly_the_catalog_names():
     # the catalog is read from the shipped CSV; the extractors name features in code
     beat = make_beat(BeatModel())
-    derivs = smooth_derivatives(beat, FS)
-    fid = locate_fiducials(beat, FS, derivs)
+    fid = locate_fiducials(beat, FS)
     assert fid.sp is not None
-    assert list(mor_features_per_beat(beat, FS, fid, derivs)) == MOR_NAMES
+    assert list(mor_features_per_beat(beat, FS, fid)) == MOR_NAMES
     assert list(brv_features([0.8, 0.9, 1.0, 0.85])) == BRV_NAMES
     rec = Recording("P", 100.0, np.ones(3), "LVO", age=71.0, sex="male")
     assert list(meta_features(rec)) == META_NAMES
@@ -54,11 +53,11 @@ def test_onset_landmark_times_match_oracle():
     for _ in range(30):
         beat = make_beat(random_beat_model(rng), period_s=rng.uniform(0.78, 0.92))
         derivs = smooth_derivatives(beat, FS)
-        fid = locate_fiducials(beat, FS, derivs)
+        fid = locate_fiducials(beat, FS)
         expected = chain_abcde(derivs[1], edge_guard(FS), EXTREMUM_FLOOR, MAX_D2_EXTREMA)
         if expected["a"] is None:
             continue
-        values = mor_features_per_beat(beat, FS, fid, derivs)
+        values = mor_features_per_beat(beat, FS, fid)
         assert values["T_a"] == pytest.approx(expected["a"] / FS, abs=2e-3)
         if expected["b"] is not None:
             assert values["T_b"] == pytest.approx(expected["b"] / FS, abs=2e-3)
@@ -79,11 +78,10 @@ def test_symmetric_pulse_has_unit_width_ratio():
 
 def test_missing_landmark_propagates():
     beat = make_beat(BeatModel())
-    derivs = smooth_derivatives(beat, FS)
-    fid = locate_fiducials(beat, FS, derivs)
+    fid = locate_fiducials(beat, FS)
     fid.d = None
     fid.p2 = None
-    values = mor_features_per_beat(beat, FS, fid, derivs)
+    values = mor_features_per_beat(beat, FS, fid)
     assert np.isnan(values["T_b-d"])
     assert np.isnan(values["A_p2/A_p1"])
     assert np.isnan(values["d/a"]) and np.isnan(values["AGI"])
@@ -94,15 +92,13 @@ def test_missing_landmark_propagates():
 def test_ratio_features_scale_and_shift_invariant():
     rng = np.random.default_rng(10)
     beat = make_beat(random_beat_model(rng))
-    derivs = smooth_derivatives(beat, FS)
-    fid = locate_fiducials(beat, FS, derivs)
-    base = mor_features_per_beat(beat, FS, fid, derivs)
+    fid = locate_fiducials(beat, FS)
+    base = mor_features_per_beat(beat, FS, fid)
 
     for variant in (3.0 * beat, beat + 2.0, 0.5 * beat - 1.0):
-        d_v = smooth_derivatives(variant, FS)
-        f_v = locate_fiducials(variant, FS, d_v)
+        f_v = locate_fiducials(variant, FS)
         assert f_v.as_dict() == fid.as_dict()
-        values = mor_features_per_beat(variant, FS, f_v, d_v)
+        values = mor_features_per_beat(variant, FS, f_v)
         for name, val in base.items():
             unit = next(f.unit for f in CATALOG if f.name == name)
             if unit == "ratio" and np.isfinite(val):
@@ -242,6 +238,13 @@ def test_matrix_csv_rejects_unknown_feature(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("patient_id,window_index,label,NOT_A_FEATURE\nP0,0,1,1.0\n")
     with pytest.raises(DataError, match="unknown features"):
+        FeatureMatrix.from_csv(path)
+
+
+def test_matrix_csv_rejects_repeated_feature(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text("patient_id,window_index,label,T_a,T_a,T_c\nP0,0,1,1.0,1.0,2.0\n")
+    with pytest.raises(DataError, match=r"repeated feature columns \['T_a'\]"):
         FeatureMatrix.from_csv(path)
 
 

@@ -99,7 +99,7 @@ def test_fiducial_chain_matches_brute_force_oracle():
     for _ in range(60):
         beat = make_beat(random_beat_model(rng), period_s=rng.uniform(0.75, 0.95))
         derivs = smooth_derivatives(beat, FS)
-        fid = locate_fiducials(beat, FS, derivs)
+        fid = locate_fiducials(beat, FS)
         expected = chain_abcde(derivs[1], guard, EXTREMUM_FLOOR, MAX_D2_EXTREMA)
         assert {k: getattr(fid, k) for k in "abcde"} == expected
         if all(expected[k] is not None for k in "abcde"):
@@ -201,7 +201,6 @@ def test_window_kernel_equals_each_beat_alone(fs, kinds, seed):
         got = {name: None if idx[i] == ABSENT else int(idx[i])
                for name, idx in landmarks.items()}
         assert got == locate_fiducials(beat, fs).as_dict()
-        assert got == locate_fiducials(beat, fs, alone).as_dict()
 
 
 def test_window_kernel_meets_each_edge_case():

@@ -18,6 +18,7 @@ from perfbench.tracing import _count_fit
 from ppgtriage import model
 from ppgtriage.model import TIE_RTOL, fit_logistic, fit_standardizer, rfe, train_model
 
+from .conftest import logistic_loss_grad
 from .oracles import newton_fit_reference, rfe_reference
 
 
@@ -161,7 +162,7 @@ def test_uphill_newton_direction_falls_back_to_descent_per_problem():
     lam = -0.5
     slopes = []
     for b in range(2):
-        _, grad_coef, grad_int = model.logistic_loss_grad(np.zeros(3), 0.0, X[b], y[b], lam)
+        _, grad_coef, grad_int = logistic_loss_grad(np.zeros(3), 0.0, X[b], y[b], lam)
         grad = np.append(grad_coef, grad_int)
         w = np.full(30, 0.25 / 30)
         H = np.empty((4, 4))
@@ -191,7 +192,7 @@ def test_stacked_train_model_groups_by_kept_columns():
         assert _bits(stacked.coef) == _bits(alone.coef)
         assert _bits(stacked.intercept) == _bits(alone.intercept)
         assert stacked.diagnostics == alone.diagnostics
-        assert stacked.standardizer.dropped == alone.standardizer.dropped
+        assert stacked.standardizer.kept_names == alone.standardizer.kept_names
 
 
 def test_fit_rejects_stacked_start_of_wrong_shape():

@@ -7,8 +7,9 @@ from ppgtriage.evaluate import run_experiment
 from ppgtriage.io import Recording, write_cohort
 from ppgtriage.pipeline import extract_cohort, extract_matrix, process_recording
 from ppgtriage.preprocess import design_bandpass
-from ppgtriage.synth import (CohortSpec, matched_cohort_spec, separated_cohort_spec,
-                             synth_cohort, synth_recording)
+from ppgtriage.synth import CohortSpec, separated_cohort_spec, synth_cohort, synth_recording
+
+from .conftest import matched_cohort_spec
 
 
 def test_extracted_matrix_is_clean(small_cohort, small_matrix):

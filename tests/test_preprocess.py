@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ppgtriage.errors import ConfigError, SignalTooShortError
+from ppgtriage.fiducials import detect_beats
 from ppgtriage.io import Recording
 from ppgtriage.preprocess import (KEPT, REJECT_AMPLITUDE_MODULATION, REJECT_FLATLINE,
                                   REJECT_TOO_FEW_BEATS, Window, compute_sqi, design_bandpass,
@@ -151,8 +152,13 @@ def test_zero_length_window_is_config_error():
     assert len(segment_windows(_dummy_recording(30.0), window_s=0.1)) == 300
 
 
+def _sqi(window: Window, **thresholds):
+    """compute_sqi on the beats detect_beats finds in the window, as the pipeline runs it."""
+    return compute_sqi(window, detect_beats(window.samples, window.fs), **thresholds)
+
+
 def test_clean_window_kept_with_high_score(clean_window):
-    sqi = compute_sqi(clean_window)
+    sqi = _sqi(clean_window)
     assert sqi.verdict == KEPT
     assert sqi.score >= 0.99
     assert sqi.amplitude_modulation_ratio < 1.5
@@ -161,20 +167,20 @@ def test_clean_window_kept_with_high_score(clean_window):
 def test_amplitude_modulated_window_rejected(clean_window):
     x = clean_window.samples.copy()
     x[len(x) // 2:] *= 5.0
-    sqi = compute_sqi(Window("P0", 0, FS, x))
+    sqi = _sqi(Window("P0", 0, FS, x))
     assert sqi.verdict == REJECT_AMPLITUDE_MODULATION
     assert sqi.amplitude_modulation_ratio >= 5.0
 
 
 def test_flatline_rejected():
-    sqi = compute_sqi(Window("P0", 0, FS, np.full(30000, 3.7)))
+    sqi = _sqi(Window("P0", 0, FS, np.full(30000, 3.7)))
     assert sqi.verdict == REJECT_FLATLINE
 
 
 def test_too_few_beats_rejected(clean_window):
     x = np.concatenate([clean_window.samples[:6000],
                         np.linspace(0, 0.3, 24000)])
-    sqi = compute_sqi(Window("P0", 0, FS, x))
+    sqi = _sqi(Window("P0", 0, FS, x))
     assert sqi.verdict == REJECT_TOO_FEW_BEATS
     assert sqi.n_beats < 12
 
@@ -183,14 +189,14 @@ def test_screening_partitions_and_counts(clean_window):
     bad = Window("P0", 1, FS, np.full(30000, 1.0))
     modulated = Window("P0", 2, FS, clean_window.samples *
                        np.linspace(1.0, 6.0, 30000))
-    verdicts = [compute_sqi(w).verdict for w in (clean_window, bad, modulated)]
+    verdicts = [_sqi(w).verdict for w in (clean_window, bad, modulated)]
     assert verdicts[0] == KEPT
     assert verdicts[1] == REJECT_FLATLINE
     assert verdicts[2] not in (KEPT, REJECT_FLATLINE)
 
 
 def test_all_clean_windows_yield_empty_exclusions(clean_window):
-    sqi = compute_sqi(clean_window)
+    sqi = _sqi(clean_window)
     assert sqi.kept and sqi.verdict == KEPT
 
 
@@ -198,7 +204,7 @@ def test_vacuous_thresholds_keep_everything_with_beats(clean_window):
     noisy = Window("P0", 1, FS, clean_window.samples +
                    np.random.default_rng(0).normal(0, 0.3, 30000))
     for window in (clean_window, noisy):
-        sqi = compute_sqi(window, sqi_threshold=-1.0, am_threshold=float("inf"), min_beats=1)
+        sqi = _sqi(window, sqi_threshold=-1.0, am_threshold=float("inf"), min_beats=1)
         assert sqi.kept
 
 
@@ -206,8 +212,8 @@ def test_screening_is_order_independent(clean_window):
     rng = np.random.default_rng(1)
     windows = [Window("P0", i, FS, clean_window.samples +
                       rng.normal(0, 0.02 * i, 30000)) for i in range(4)]
-    verdict_fwd = {w.window_index: compute_sqi(w).verdict for w in windows}
-    verdict_rev = {w.window_index: compute_sqi(w).verdict for w in reversed(windows)}
+    verdict_fwd = {w.window_index: _sqi(w).verdict for w in windows}
+    verdict_rev = {w.window_index: _sqi(w).verdict for w in reversed(windows)}
     assert verdict_fwd == verdict_rev
 
 
@@ -221,7 +227,7 @@ def test_noise_never_raises_score_statistically(clean_window):
         scores = []
         for level in levels:
             w = Window("P0", 0, FS, clean_window.samples + level * noise)
-            scores.append(compute_sqi(w, min_beats=1).score)
+            scores.append(_sqi(w, min_beats=1).score)
         for a, b in zip(scores, scores[1:]):
             comparisons += 1
             if b <= a + 1e-12:

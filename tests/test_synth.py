@@ -12,9 +12,10 @@ from ppgtriage.errors import ConfigError
 from ppgtriage.fiducials import detect_beats
 from ppgtriage.io import write_cohort
 from ppgtriage.synth import (BeatModel, ClassParams, CohortSpec, _ar1, _draw_periods,
-                             cohort_labels, matched_cohort_spec, separated_cohort_spec,
-                             spec_from_dict, synth_beat, synth_cohort, synth_cohort_to_dir,
-                             synth_recording)
+                             cohort_labels, separated_cohort_spec, spec_from_dict, synth_beat,
+                             synth_cohort, synth_cohort_to_dir, synth_recording)
+
+from .conftest import matched_cohort_spec
 
 
 def test_beat_peak_amplitude_single_wave():
@@ -126,8 +127,7 @@ def test_synth_to_dir_byte_identical(tmp_path):
         assert (tmp_path / "a" / f).read_bytes() == (tmp_path / "b" / f).read_bytes()
 
 
-def test_pipeline_reexports_the_one_synth_to_dir():
-    assert pipeline.synth_cohort_to_dir is synth_cohort_to_dir
+def test_pipeline_reexports_the_one_synth_recording():
     assert pipeline.synth_recording is synth_recording
 
 
