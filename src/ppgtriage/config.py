@@ -78,19 +78,19 @@ class RunConfig:
 
 
 def parse_number(value, kind: type, where: str):
-    """Cast one value of a JSON document to `kind` (int or float).
+    """Cast one JSON number to `kind` (int or float).
 
-    Booleans, fractional values for an int, and anything `kind` cannot parse
-    raise ConfigError naming `where`, so a malformed file never becomes a
-    traceback or a silently truncated number.
+    A string, a boolean, a fractional value for an int, or a value too large
+    for a float raises ConfigError naming `where`, so a malformed file never
+    becomes a traceback or a silently converted number.
     """
-    if isinstance(value, bool):
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{where}: expected a number, got {value!r}")
     if kind is int and isinstance(value, float) and not value.is_integer():
         raise ConfigError(f"{where}: expected an integer, got {value!r}")
     try:
         return kind(value)
-    except (TypeError, ValueError, OverflowError) as exc:
+    except OverflowError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 
 

@@ -22,6 +22,7 @@ the feature is present (missing for the window only if missing on every beat).
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -253,7 +254,7 @@ class FeatureMatrix:
         return np.flatnonzero(np.array(self.families) == family)
 
     def to_csv(self, path: Path | str) -> None:
-        with open(path, "w", newline="") as fh:
+        with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(["patient_id", "window_index", "label"] + self.feature_names)
             for i in range(self.n_rows):
@@ -263,15 +264,23 @@ class FeatureMatrix:
 
     @classmethod
     def from_csv(cls, path: Path | str) -> "FeatureMatrix":
+        """Read a matrix as to_csv writes it; anything else raises DataError naming
+        the file and the line: bytes that are not UTF-8, a malformed cell or label,
+        an empty patient_id, a repeated (patient_id, window_index), an infinity."""
         path = Path(path)
         if not path.is_file():
             raise DataError(f"feature matrix not found: {path}")
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise DataError(f"feature matrix {path} is empty") from None
+        data = path.read_bytes()
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            line = data.count(b"\n", 0, exc.start) + 1
+            raise DataError(f"feature matrix {path}: line {line} is not UTF-8") from None
+        reader = csv.reader(io.StringIO(text, newline=""))
+        try:
+            header = next(reader, None)
+            if header is None:
+                raise DataError(f"feature matrix {path} is empty")
             if header[:3] != ["patient_id", "window_index", "label"]:
                 raise DataError(f"feature matrix {path}: unexpected header {header[:3]}")
             names = header[3:]
@@ -282,22 +291,31 @@ class FeatureMatrix:
             if repeated:
                 raise DataError(f"feature matrix {path}: repeated feature columns {repeated}")
             by_name = {f.name: f.family for f in CATALOG}
-            pids, widxs, labels, rows = [], [], [], []
-            for lineno, row in enumerate(reader, start=2):
+            pids, widxs, labels, rows, seen = [], [], [], [], set()
+            for row in reader:
+                at = f"feature matrix {path}: line {reader.line_num}"
                 if len(row) != len(names) + 3:
-                    raise DataError(f"feature matrix {path}: row {lineno} has {len(row)} fields")
+                    raise DataError(f"{at}: {len(row)} fields, expected {len(names) + 3}")
                 try:
                     widx, label = int(row[1]), int(row[2])
                     values = [float(v) if v != "" else np.nan for v in row[3:]]
                 except ValueError as exc:
-                    raise DataError(f"feature matrix {path}: line {lineno}: {exc}") from None
+                    raise DataError(f"{at}: {exc}") from None
+                if not row[0]:
+                    raise DataError(f"{at}: empty patient_id")
+                if (row[0], widx) in seen:
+                    raise DataError(f"{at}: window {widx} of patient '{row[0]}' appears twice")
                 if label not in (0, 1):
-                    raise DataError(f"feature matrix {path}: line {lineno}: label must be "
-                                    f"0 or 1, got {label}")
+                    raise DataError(f"{at}: label must be 0 or 1, got {label}")
+                if np.isinf(values).any():
+                    raise DataError(f"{at}: infinite feature value")
+                seen.add((row[0], widx))
                 pids.append(row[0])
                 widxs.append(widx)
                 labels.append(label)
                 rows.append(values)
+        except csv.Error as exc:
+            raise DataError(f"feature matrix {path}: line {reader.line_num}: {exc}") from None
         values = np.array(rows, dtype=np.float64) if rows else np.empty((0, len(names)))
         return cls(feature_names=names, families=[by_name[n] for n in names],
                    patient_ids=pids, window_indices=widxs,

@@ -46,20 +46,20 @@ def process_recording(recording: Recording, config: RunConfig
     design = design_bandpass(recording.fs, config.band_low_hz, config.band_high_hz,
                              config.filter_order)
     try:
-        filtered = filter_recording(recording, design)
+        filtered = filter_recording(recording.samples, design)
     except SignalTooShortError:
         return [], {"patient_id": recording.patient_id, "n_windows": 0, "kept": 0,
                     "windows": [], "reason": TOO_SHORT}
-    windows = segment_windows(filtered, config.window_s)
+    windows = segment_windows(filtered, recording.fs, config.window_s)
     meta = meta_features(recording)
     rows: list[WindowRow] = []
     screened = []
-    for window in windows:
-        spans = detect_beats(window.samples, window.fs)
-        sqi = compute_sqi(window, spans, sqi_threshold=config.sqi_threshold,
+    for index, samples in enumerate(windows):
+        spans = detect_beats(samples, recording.fs)
+        sqi = compute_sqi(samples, spans, sqi_threshold=config.sqi_threshold,
                           am_threshold=config.am_threshold, min_beats=config.min_beats)
         screened.append({
-            "window_index": window.window_index,
+            "window_index": index,
             "verdict": sqi.verdict,
             "score": sqi.score,
             "am_ratio": None if sqi.amplitude_modulation_ratio is None
@@ -70,13 +70,13 @@ def process_recording(recording: Recording, config: RunConfig
         if not sqi.kept:
             continue
         # every beat of the window at once; beats below MIN_BEAT_S are left out
-        batch = window_beats(window.samples, spans, window.fs)
+        batch = window_beats(samples, spans, recording.fs)
         values = aggregate_mor(mor_matrix(batch.y, batch.lengths, batch.fs,
                                           locate_batch(batch), batch.d2))
-        intervals = [span.length / window.fs for span in spans]
+        intervals = [span.length / recording.fs for span in spans]
         values.update(brv_features(intervals))
         values.update(meta)
-        rows.append((window.patient_id, window.window_index, values))
+        rows.append((recording.patient_id, index, values))
     screening = {
         "patient_id": recording.patient_id,
         "n_windows": len(windows),

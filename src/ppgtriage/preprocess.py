@@ -23,7 +23,6 @@ from scipy import signal as sps
 from .config import RunConfig
 from .errors import ConfigError, SignalTooShortError
 from .fiducials import BeatSpan
-from .io import Recording
 
 TEMPLATE_LEN = 100
 
@@ -62,16 +61,6 @@ class SqiResult:
     @property
     def kept(self) -> bool:
         return self.verdict == KEPT
-
-
-@dataclass
-class Window:
-    """One contiguous fixed-length segment of a filtered recording."""
-
-    patient_id: str
-    window_index: int
-    fs: float
-    samples: np.ndarray
 
 
 @lru_cache(maxsize=64)
@@ -117,8 +106,8 @@ def _settle_length(sos: np.ndarray, fs: float) -> int:
             raise ConfigError("filter step response does not settle; design unusable")
 
 
-def zero_phase_filter(samples: np.ndarray, design: FilterDesign) -> np.ndarray:
-    """Forward-backward filtering with reflect padding; zero net phase shift."""
+def filter_recording(samples: np.ndarray, design: FilterDesign) -> np.ndarray:
+    """Bandpass-filter samples forward-backward with reflect padding; zero net phase shift."""
     samples = np.asarray(samples, dtype=np.float64)
     if len(samples) <= design.pad_len:
         raise SignalTooShortError(
@@ -126,26 +115,16 @@ def zero_phase_filter(samples: np.ndarray, design: FilterDesign) -> np.ndarray:
     return sps.sosfiltfilt(design.sos.copy(), samples, padtype="even", padlen=design.pad_len)
 
 
-def filter_recording(recording: Recording, design: FilterDesign) -> Recording:
-    """Return a copy of the recording with bandpass-filtered samples."""
-    filtered = zero_phase_filter(recording.samples, design)
-    return Recording(patient_id=recording.patient_id, fs=recording.fs, samples=filtered,
-                     label=recording.label, age=recording.age, sex=recording.sex)
-
-
-def segment_windows(recording: Recording, window_s: float = RunConfig.window_s) -> list[Window]:
-    """Split a recording into contiguous non-overlapping windows of
-    round(window_s * fs) samples; a trailing partial segment is discarded."""
-    n = round(window_s * recording.fs)
+def segment_windows(samples: np.ndarray, fs: float,
+                    window_s: float = RunConfig.window_s) -> np.ndarray:
+    """Split samples into contiguous windows of round(window_s * fs) samples,
+    the rows of one 2-D view; a trailing partial segment is discarded."""
+    n = round(window_s * fs)
     if n < 1:
-        raise ConfigError(f"window_s={window_s} at fs={recording.fs} gives windows "
+        raise ConfigError(f"window_s={window_s} at fs={fs} gives windows "
                           f"of {n} samples; need at least 1")
-    count = len(recording.samples) // n
-    return [
-        Window(patient_id=recording.patient_id, window_index=i, fs=recording.fs,
-               samples=recording.samples[i * n:(i + 1) * n])
-        for i in range(count)
-    ]
+    count = len(samples) // n
+    return samples[:count * n].reshape(count, n)
 
 
 def _resample_beat(seg: np.ndarray, length: int) -> np.ndarray:
@@ -162,19 +141,19 @@ def _template_correlations(x: np.ndarray, spans: list[BeatSpan]) -> np.ndarray:
     return np.where(np.isfinite(corr), corr, 0.0)
 
 
-def compute_sqi(window: Window, spans: list[BeatSpan],
+def compute_sqi(samples: np.ndarray, spans: list[BeatSpan],
                 sqi_threshold: float = RunConfig.sqi_threshold,
                 am_threshold: float = RunConfig.am_threshold,
                 min_beats: int = RunConfig.min_beats) -> SqiResult:
-    """Score one filtered window, whose beats are `spans` (detect_beats of its
-    samples), and decide whether it is usable.
+    """Score one filtered window's samples, whose beats are `spans`
+    (detect_beats of the samples), and decide whether the window is usable.
 
     Checks are applied in a fixed order and the first failure names the
     rejection reason: flatline, too few beats, amplitude modulation, then
     template correlation. A window with no detected beat has too few beats
     whatever `min_beats` is.
     """
-    x = np.asarray(window.samples, dtype=np.float64)
+    x = np.asarray(samples, dtype=np.float64)
     if len(x) == 0 or np.ptp(x) == 0:
         return SqiResult(score=None, amplitude_modulation_ratio=None, n_beats=0,
                          verdict=REJECT_FLATLINE)

@@ -20,8 +20,8 @@ from ppgtriage.fiducials import (EXTREMUM_FLOOR, MAX_D2_EXTREMA, detect_beats, e
                                  locate_fiducials, smooth_derivatives)
 from ppgtriage.model import fit_logistic, fit_standardizer, rfe
 from ppgtriage.pipeline import extract_matrix
-from ppgtriage.preprocess import (REJECT_AMPLITUDE_MODULATION, Window, compute_sqi,
-                                  design_bandpass, zero_phase_filter)
+from ppgtriage.preprocess import (REJECT_AMPLITUDE_MODULATION, compute_sqi, design_bandpass,
+                                  filter_recording)
 from ppgtriage.synth import separated_cohort_spec, synth_recording, synth_cohort
 
 from .conftest import logistic_loss_grad, make_beat, random_beat_model, shuffle_patient_labels
@@ -57,7 +57,7 @@ def test_criterion_01_filter_conformance():
 
     t = np.arange(0, 20.0, 1 / FS)
     x = np.sin(2 * np.pi * 5.0 * t)
-    y = zero_phase_filter(x, design)
+    y = filter_recording(x, design)
     lag = int(np.argmax(np.correlate(y, x, mode="full"))) - (len(x) - 1)
     assert lag == 0
 
@@ -252,13 +252,13 @@ def test_criterion_09_sqi_screening():
         spec = separated_cohort_spec(n_positive=1, n_negative=0, duration_s=32.0,
                                      seed=seed)
         rec = synth_recording(spec, "LVO", "P0", 0)
-        filtered = zero_phase_filter(rec.samples, design)[:30000]
-        clean = compute_sqi(Window("P0", 0, FS, filtered), detect_beats(filtered, FS))
+        filtered = filter_recording(rec.samples, design)[:30000]
+        clean = compute_sqi(filtered, detect_beats(filtered, FS))
         if clean.kept:
             clean_kept += 1
         modulated = filtered.copy()
         modulated[len(modulated) // 2:] *= 5.0
-        verdict = compute_sqi(Window("P0", 0, FS, modulated), detect_beats(modulated, FS))
+        verdict = compute_sqi(modulated, detect_beats(modulated, FS))
         if verdict.verdict == REJECT_AMPLITUDE_MODULATION:
             modulated_rejected += 1
     assert modulated_rejected >= 95

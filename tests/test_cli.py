@@ -208,6 +208,56 @@ def test_evaluate_rejects_a_patient_labelled_neither_0_nor_1(extracted_dir, tmp_
     assert not (tmp_path / "x").exists()
 
 
+def _lines_with(lines: list[bytes], line: int) -> tuple[bytes, int]:
+    return b"\n".join(lines) + b"\n", line
+
+
+def _repeated_row(data: bytes) -> tuple[bytes, int]:
+    lines = data.splitlines()
+    return _lines_with(lines + [lines[1]], len(lines) + 1)
+
+
+def _blank_patient_id(data: bytes) -> tuple[bytes, int]:
+    lines = data.splitlines()
+    pid = lines[1].split(b",")[0]
+    return _lines_with([line.removeprefix(pid) if line.startswith(pid + b",") else line
+                        for line in lines], 2)
+
+
+def _ff_byte_in_patient_id(data: bytes) -> tuple[bytes, int]:
+    lines = data.splitlines()
+    lines[2] = b"\xff" + lines[2]
+    return _lines_with(lines, 3)
+
+
+def _infinite_value(data: bytes) -> tuple[bytes, int]:
+    lines = data.splitlines()
+    cells = lines[1].split(b",")
+    cells[3] = b"inf"
+    lines[1] = b",".join(cells)
+    return _lines_with(lines, 2)
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (_repeated_row, "appears twice"), (_blank_patient_id, "empty patient_id"),
+    (_ff_byte_in_patient_id, "is not UTF-8"),
+    (lambda data: (b"\xff\xfe" + data, 1), "is not UTF-8"),
+    (_infinite_value, "infinite feature value"),
+], ids=["repeated-row", "blank-patient-id", "ff-byte-in-patient-id", "utf16-bom", "infinity"])
+def test_evaluate_matrix_extract_never_writes_is_data_error(extracted_dir, tmp_path, capsys,
+                                                            corrupt, message):
+    data, line = corrupt((extracted_dir / "features.csv").read_bytes())
+    path = tmp_path / "bad.csv"
+    path.write_bytes(data)
+    code = main(["evaluate", "--matrix", str(path), "--seed", "1",
+                 "--out", str(tmp_path / "x")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error[data]: feature matrix {path}: line {line}") and message in err
+    assert err.count("\n") == 1
+    assert not (tmp_path / "x").exists()
+
+
 def test_synth_prints_the_count_of_each_label(tmp_path, capsys):
     spec = _write(tmp_path / "spec.json", dict(TINY_SPEC, n_negative=5, duration_s=2.0))
     assert main(["synth", "--spec", spec, "--out", str(tmp_path / "d")]) == 0
@@ -294,6 +344,17 @@ def test_evaluate_malformed_config_is_config_error(extracted_dir, tmp_path, caps
                  "--config", str(cfg), "--out", str(tmp_path / "x")])
     assert code == 2
     assert capsys.readouterr().err.startswith("error[config]:")
+
+
+def test_evaluate_config_with_string_numbers_is_config_error(extracted_dir, tmp_path, capsys):
+    cfg = _write(tmp_path / "cfg.json", {"n_iter": "3", "seed": "11", "lambda": "1", "rfe_k": 10})
+    code = main(["evaluate", "--matrix", str(extracted_dir / "features.csv"),
+                 "--config", cfg, "--out", str(tmp_path / "x")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error[config]:") and "expected a number" in err
+    assert err.count("\n") == 1
+    assert not (tmp_path / "x").exists()
 
 
 def test_extract_short_recording_gets_a_verdict_and_the_cohort_goes_on(cohort_dir, tmp_path):

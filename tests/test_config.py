@@ -32,6 +32,22 @@ def test_numeric_keys_reject_booleans_and_fractions(key, value):
         config_from_dict({key: value})
 
 
+@pytest.mark.parametrize("key", INT_KEYS + FLOAT_KEYS)
+@pytest.mark.parametrize("value", ["3", "1.5"])
+def test_numeric_keys_reject_strings(key, value):
+    with pytest.raises(ConfigError, match=f"'{key}': expected a number"):
+        config_from_dict({key: value})
+
+
+@pytest.mark.parametrize("change", [{"fs": "250"}, {"n_positive": "2"}, {"seed": "7"},
+                                    {"positive": {"hr_sd_bpm": "1.5"}},
+                                    {"negative": {"age_range": [50, "60"]}},
+                                    {"positive": {"beat": {"systolic_amp": "1"}}}])
+def test_spec_numbers_reject_strings(change):
+    with pytest.raises(ConfigError, match="expected a number"):
+        spec_from_dict({"n_positive": 1, "n_negative": 1, **change})
+
+
 def test_integral_values_are_accepted():
     cfg = config_from_dict({"n_iter": 3.0, "seed": 7, "workers": 2, "lambda": 2,
                             "window_s": 20})

@@ -248,6 +248,80 @@ def test_matrix_csv_rejects_repeated_feature(tmp_path):
         FeatureMatrix.from_csv(path)
 
 
+_FAMILY = {f.name: f.family for f in CATALOG}
+
+
+@st.composite
+def _written_matrices(draw, max_rows=12):
+    """Any matrix extract could write: non-empty ids (any text UTF-8 encodes),
+    each (patient_id, window_index) once, labels 0/1, catalog columns once
+    each in any order, and finite or NaN values."""
+    names = draw(st.lists(st.sampled_from(FEATURE_NAMES), unique=True, max_size=6))
+    keys = draw(st.lists(st.tuples(st.text(st.characters(blacklist_categories=("Cs",)),
+                                           min_size=1, max_size=6),
+                                   st.integers(0, 10**6)),
+                         unique=True, max_size=max_rows))
+    cells = st.floats(allow_infinity=False) | st.just(np.nan)
+    values = [[draw(cells) for _ in names] for _ in keys]
+    return FeatureMatrix(feature_names=names, families=[_FAMILY[n] for n in names],
+                         patient_ids=[pid for pid, _ in keys],
+                         window_indices=[widx for _, widx in keys],
+                         labels=np.array([draw(st.integers(0, 1)) for _ in keys],
+                                         dtype=np.int64),
+                         values=np.array(values, dtype=np.float64).reshape(len(keys),
+                                                                           len(names)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(matrix=_written_matrices())
+def test_matrix_csv_round_trip_is_exact(tmp_path_factory, matrix):
+    path = tmp_path_factory.mktemp("csv") / "features.csv"
+    matrix.to_csv(path)
+    back = FeatureMatrix.from_csv(path)
+    assert back.feature_names == matrix.feature_names
+    assert back.families == matrix.families
+    assert back.patient_ids == matrix.patient_ids
+    assert back.window_indices == matrix.window_indices
+    assert np.array_equal(back.labels, matrix.labels)
+    missing = np.isnan(matrix.values)
+    assert np.array_equal(np.isnan(back.values), missing)
+    assert np.array_equal(back.values[~missing].view(np.int64),
+                          matrix.values[~missing].view(np.int64))
+
+
+def _read_or_data_error(path) -> None:
+    try:
+        FeatureMatrix.from_csv(path)
+    except DataError:
+        pass
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.binary(max_size=400))
+@example(data=b"\xff\xfepatient_id,window_index,label\n")
+@example(data=b"patient_id,window_index,label\n" + b"x" * 200_000 + b",0,1\n")   # csv field limit
+def test_matrix_csv_of_arbitrary_bytes_reads_or_is_data_error(tmp_path_factory, data):
+    path = tmp_path_factory.mktemp("csv") / "features.csv"
+    path.write_bytes(data)
+    _read_or_data_error(path)
+
+
+@settings(max_examples=300, deadline=None)
+@given(matrix=_written_matrices(max_rows=4), edits=st.lists(
+    st.tuples(st.integers(0, 10**4), st.integers(0, 8), st.binary(max_size=6)),
+    min_size=1, max_size=4))
+def test_matrix_csv_mutated_reads_or_is_data_error(tmp_path_factory, matrix, edits):
+    """Each edit replaces `length` bytes at `at` (modulo the file's size) with `new`."""
+    path = tmp_path_factory.mktemp("csv") / "features.csv"
+    matrix.to_csv(path)
+    data = path.read_bytes()
+    for at, length, new in edits:
+        at %= len(data) + 1
+        data = data[:at] + new + data[at + length:]
+    path.write_bytes(data)
+    _read_or_data_error(path)
+
+
 @settings(max_examples=60, deadline=None)
 @given(fs=st.sampled_from([20.0, 250.0, 1000.0]),
        kinds=st.lists(st.sampled_from(BEAT_KINDS), min_size=1, max_size=6),

@@ -5,10 +5,9 @@ import pytest
 
 from ppgtriage.errors import ConfigError, SignalTooShortError
 from ppgtriage.fiducials import detect_beats
-from ppgtriage.io import Recording
 from ppgtriage.preprocess import (KEPT, REJECT_AMPLITUDE_MODULATION, REJECT_FLATLINE,
-                                  REJECT_TOO_FEW_BEATS, Window, compute_sqi, design_bandpass,
-                                  segment_windows, zero_phase_filter)
+                                  REJECT_TOO_FEW_BEATS, compute_sqi, design_bandpass,
+                                  filter_recording, segment_windows)
 from ppgtriage.synth import separated_cohort_spec, synth_recording
 
 from .oracles import band_power
@@ -28,8 +27,7 @@ def clean_window(design):
     spec = separated_cohort_spec(n_positive=1, n_negative=0, duration_s=40.0, seed=77)
     spec = dataclasses.replace(spec, noise_sd=0.0)
     rec = synth_recording(spec, "LVO", "P0", 0)
-    filtered = zero_phase_filter(rec.samples, design)
-    return Window(patient_id="P0", window_index=0, fs=FS, samples=filtered[:30000])
+    return filter_recording(rec.samples, design)[:30000]
 
 
 def _impulse_response_db(design, freqs):
@@ -73,14 +71,14 @@ def test_design_rejects_odd_order():
 
 
 def test_zero_input_gives_zero_output(design):
-    out = zero_phase_filter(np.zeros(30000), design)
+    out = filter_recording(np.zeros(30000), design)
     assert np.allclose(out, 0.0, atol=1e-12)
 
 
 def test_sine_peaks_not_shifted(design):
     t = np.arange(0, 20.0, 1 / FS)
     x = np.sin(2 * np.pi * 5.0 * t)
-    y = zero_phase_filter(x, design)
+    y = filter_recording(x, design)
     lag = int(np.argmax(np.correlate(y, x, mode="full"))) - (len(x) - 1)
     assert lag == 0
     peaks_in = np.flatnonzero((x[1:-1] > x[:-2]) & (x[1:-1] > x[2:])) + 1
@@ -94,7 +92,7 @@ def test_drift_removed_signal_preserved(design):
     t = np.arange(0, 40.0, 1 / FS)
     sine = np.sin(2 * np.pi * 5.0 * t)
     drift = np.sin(2 * np.pi * 0.1 * t)
-    y = zero_phase_filter(sine + drift, design)
+    y = filter_recording(sine + drift, design)
     drift_ratio = band_power(y, FS, 0.05, 0.2) / band_power(drift, FS, 0.05, 0.2)
     assert 10 * np.log10(drift_ratio) <= -20.0
     sine_ratio = band_power(y, FS, 4.5, 5.5) / band_power(sine, FS, 4.5, 5.5)
@@ -104,8 +102,8 @@ def test_drift_removed_signal_preserved(design):
 def test_forward_backward_symmetry(design):
     rng = np.random.default_rng(3)
     x = rng.normal(size=30000)
-    direct = zero_phase_filter(x, design)
-    reversed_route = zero_phase_filter(x[::-1], design)[::-1]
+    direct = filter_recording(x, design)
+    reversed_route = filter_recording(x[::-1], design)[::-1]
     assert np.allclose(direct, reversed_route, atol=1e-6)
     pad = design.pad_len
     assert np.allclose(direct[pad:-pad], reversed_route[pad:-pad], atol=1e-9)
@@ -123,38 +121,37 @@ def test_design_is_shared_and_read_only():
 
 def test_filter_rejects_short_input(design):
     with pytest.raises(SignalTooShortError):
-        zero_phase_filter(np.zeros(design.pad_len), design)
+        filter_recording(np.zeros(design.pad_len), design)
 
 
-def _dummy_recording(duration_s, fs=10.0):
-    n = round(duration_s * fs)
-    return Recording("P", fs, np.arange(n, dtype=float), "NL")
+def _dummy_samples(duration_s, fs=10.0):
+    return np.arange(round(duration_s * fs), dtype=float)
 
 
 def test_window_counts():
-    assert len(segment_windows(_dummy_recording(600.0))) == 20
-    assert len(segment_windows(_dummy_recording(45.0))) == 1
-    assert len(segment_windows(_dummy_recording(29.0))) == 0
+    assert len(segment_windows(_dummy_samples(600.0), 10.0)) == 20
+    assert len(segment_windows(_dummy_samples(45.0), 10.0)) == 1
+    assert len(segment_windows(_dummy_samples(29.0), 10.0)) == 0
 
 
 def test_windows_partition_recording_exactly():
-    rec = _dummy_recording(95.0)
-    windows = segment_windows(rec)
-    n = round(30.0 * rec.fs)
-    rebuilt = np.concatenate([w.samples for w in windows] + [rec.samples[len(windows) * n:]])
-    assert np.array_equal(rebuilt, rec.samples)
-    assert [w.window_index for w in windows] == [0, 1, 2]
+    samples = _dummy_samples(95.0)
+    windows = segment_windows(samples, 10.0)
+    n = round(30.0 * 10.0)
+    rebuilt = np.concatenate(list(windows) + [samples[len(windows) * n:]])
+    assert np.array_equal(rebuilt, samples)
+    assert windows.shape == (3, n)
 
 
 def test_zero_length_window_is_config_error():
     with pytest.raises(ConfigError, match=r"window_s=0\.01 at fs=10\.0"):
-        segment_windows(_dummy_recording(30.0), window_s=0.01)
-    assert len(segment_windows(_dummy_recording(30.0), window_s=0.1)) == 300
+        segment_windows(_dummy_samples(30.0), 10.0, window_s=0.01)
+    assert len(segment_windows(_dummy_samples(30.0), 10.0, window_s=0.1)) == 300
 
 
-def _sqi(window: Window, **thresholds):
+def _sqi(samples, **thresholds):
     """compute_sqi on the beats detect_beats finds in the window, as the pipeline runs it."""
-    return compute_sqi(window, detect_beats(window.samples, window.fs), **thresholds)
+    return compute_sqi(samples, detect_beats(samples, FS), **thresholds)
 
 
 def test_clean_window_kept_with_high_score(clean_window):
@@ -165,30 +162,29 @@ def test_clean_window_kept_with_high_score(clean_window):
 
 
 def test_amplitude_modulated_window_rejected(clean_window):
-    x = clean_window.samples.copy()
+    x = clean_window.copy()
     x[len(x) // 2:] *= 5.0
-    sqi = _sqi(Window("P0", 0, FS, x))
+    sqi = _sqi(x)
     assert sqi.verdict == REJECT_AMPLITUDE_MODULATION
     assert sqi.amplitude_modulation_ratio >= 5.0
 
 
 def test_flatline_rejected():
-    sqi = _sqi(Window("P0", 0, FS, np.full(30000, 3.7)))
+    sqi = _sqi(np.full(30000, 3.7))
     assert sqi.verdict == REJECT_FLATLINE
 
 
 def test_too_few_beats_rejected(clean_window):
-    x = np.concatenate([clean_window.samples[:6000],
+    x = np.concatenate([clean_window[:6000],
                         np.linspace(0, 0.3, 24000)])
-    sqi = _sqi(Window("P0", 0, FS, x))
+    sqi = _sqi(x)
     assert sqi.verdict == REJECT_TOO_FEW_BEATS
     assert sqi.n_beats < 12
 
 
 def test_screening_partitions_and_counts(clean_window):
-    bad = Window("P0", 1, FS, np.full(30000, 1.0))
-    modulated = Window("P0", 2, FS, clean_window.samples *
-                       np.linspace(1.0, 6.0, 30000))
+    bad = np.full(30000, 1.0)
+    modulated = clean_window * np.linspace(1.0, 6.0, 30000)
     verdicts = [_sqi(w).verdict for w in (clean_window, bad, modulated)]
     assert verdicts[0] == KEPT
     assert verdicts[1] == REJECT_FLATLINE
@@ -201,8 +197,7 @@ def test_all_clean_windows_yield_empty_exclusions(clean_window):
 
 
 def test_vacuous_thresholds_keep_everything_with_beats(clean_window):
-    noisy = Window("P0", 1, FS, clean_window.samples +
-                   np.random.default_rng(0).normal(0, 0.3, 30000))
+    noisy = clean_window + np.random.default_rng(0).normal(0, 0.3, 30000)
     for window in (clean_window, noisy):
         sqi = _sqi(window, sqi_threshold=-1.0, am_threshold=float("inf"), min_beats=1)
         assert sqi.kept
@@ -210,10 +205,9 @@ def test_vacuous_thresholds_keep_everything_with_beats(clean_window):
 
 def test_screening_is_order_independent(clean_window):
     rng = np.random.default_rng(1)
-    windows = [Window("P0", i, FS, clean_window.samples +
-                      rng.normal(0, 0.02 * i, 30000)) for i in range(4)]
-    verdict_fwd = {w.window_index: _sqi(w).verdict for w in windows}
-    verdict_rev = {w.window_index: _sqi(w).verdict for w in reversed(windows)}
+    windows = [clean_window + rng.normal(0, 0.02 * i, 30000) for i in range(4)]
+    verdict_fwd = {i: _sqi(w).verdict for i, w in enumerate(windows)}
+    verdict_rev = {i: _sqi(windows[i]).verdict for i in reversed(range(4))}
     assert verdict_fwd == verdict_rev
 
 
@@ -223,11 +217,10 @@ def test_noise_never_raises_score_statistically(clean_window):
     holds = 0
     for seed in range(20):
         rng = np.random.default_rng(seed)
-        noise = rng.normal(size=len(clean_window.samples))
+        noise = rng.normal(size=len(clean_window))
         scores = []
         for level in levels:
-            w = Window("P0", 0, FS, clean_window.samples + level * noise)
-            scores.append(_sqi(w, min_beats=1).score)
+            scores.append(_sqi(clean_window + level * noise, min_beats=1).score)
         for a, b in zip(scores, scores[1:]):
             comparisons += 1
             if b <= a + 1e-12:
@@ -237,7 +230,6 @@ def test_noise_never_raises_score_statistically(clean_window):
 
 def test_beatless_window_has_too_few_beats_even_at_min_beats_zero():
     t = np.arange(30000) / FS
-    window = Window("P0", 0, FS, np.sin(2 * np.pi * 0.05 * t))
-    sqi = compute_sqi(window, spans=[], min_beats=0)
+    sqi = compute_sqi(np.sin(2 * np.pi * 0.05 * t), spans=[], min_beats=0)
     assert sqi.verdict == REJECT_TOO_FEW_BEATS
     assert sqi.n_beats == 0 and sqi.score is None
